@@ -1,14 +1,11 @@
 // Batched + parallel bind-join probes (docs/PERFORMANCE.md): what do
 // IN-set probe batches and simulated-concurrent waves buy over the
-// original one-equality-probe-per-key loop? Three benches over a seeded
+// original one-equality-probe-per-key loop? Two benches over a seeded
 // image-library federation:
 //
 //   probes     200-key bind join, serial loop vs batched waves -- the
 //              answers must match byte-for-byte while the charged
 //              latency drops max-not-sum per wave
-//   pools      the batched configuration at federation pool sizes
-//              0/1/4 -- tuples, warnings, clock, and trace must be
-//              byte-identical
 //   objective  kTotalTime vs kResponseTime over a 3-relation chain:
 //              the enumerator keeps the bind join where serial cost is
 //              what counts and overlaps submits where it is not
@@ -88,12 +85,11 @@ std::unique_ptr<mediator::Mediator> MakeFederation(
   return med;
 }
 
-/// One run rendered to bytes: tuples, warnings, clock, trace.
+/// One run rendered to bytes: tuples, warnings, clock.
 struct RunSnapshot {
   std::string tuples;
   std::string warnings;
   double measured_ms = 0;
-  std::string trace_json;
 };
 
 RunSnapshot Snapshot(mediator::Mediator* med) {
@@ -108,7 +104,6 @@ RunSnapshot Snapshot(mediator::Mediator* med) {
     snap.warnings += w.ToString() + "\n";
   }
   snap.measured_ms = r->measured_ms;
-  if (r->trace != nullptr) snap.trace_json = r->trace->ToChromeJson();
   return snap;
 }
 
@@ -164,39 +159,6 @@ ProbeNumbers RunProbes() {
               out.probes_serial, out.probes_batched, out.waves);
   DISCO_CHECK(out.speedup >= 2.0)
       << "batched bind join below the 2x bar: " << out.speedup;
-  return out;
-}
-
-struct PoolNumbers {
-  int pools_checked = 0;
-  double identical = 0;  ///< 1.0 = byte-identical across every pool size
-};
-
-PoolNumbers RunPools() {
-  PoolNumbers out;
-  RunSnapshot base;
-  for (int threads : {0, 1, 4}) {
-    mediator::FederationOptions fed;
-    fed.threads = threads;
-    fed.deadline_ms = 1e9;  // never expires; keeps the scatter path on
-    fed.bind_batch_size = 16;
-    fed.bind_parallelism = 8;
-    auto med = MakeFederation(fed);
-    RunSnapshot snap = Snapshot(med.get());
-    DISCO_CHECK(!snap.trace_json.empty());
-    if (threads == 0) {
-      base = std::move(snap);
-    } else {
-      DISCO_CHECK(snap.tuples == base.tuples);
-      DISCO_CHECK(snap.warnings == base.warnings);
-      DISCO_CHECK(snap.measured_ms == base.measured_ms);
-      DISCO_CHECK(snap.trace_json == base.trace_json);
-    }
-    ++out.pools_checked;
-  }
-  out.identical = 1.0;
-  std::printf("%-10s %14s %14s %9s   (%d pool sizes byte-identical)\n",
-              "pools", "-", "-", "", out.pools_checked);
   return out;
 }
 
@@ -270,7 +232,7 @@ ObjectiveNumbers RunObjective() {
   return out;
 }
 
-void WriteJson(const ProbeNumbers& probes, const PoolNumbers& pools,
+void WriteJson(const ProbeNumbers& probes,
                const ObjectiveNumbers& objective) {
   std::FILE* f = std::fopen("BENCH_bindjoin.json", "w");
   DISCO_CHECK(f != nullptr) << "cannot write BENCH_bindjoin.json";
@@ -280,9 +242,6 @@ void WriteJson(const ProbeNumbers& probes, const PoolNumbers& pools,
                "\"probes_batched\":%lld,\"waves\":%lld},",
                probes.serial_ms, probes.batched_ms, probes.speedup,
                probes.probes_serial, probes.probes_batched, probes.waves);
-  std::fprintf(f,
-               "\"pools\":{\"pools_checked\":%d,\"identical\":%.1f},",
-               pools.pools_checked, pools.identical);
   std::fprintf(f,
                "\"objective\":{\"total_ms\":%.3f,\"response_ms\":%.3f,"
                "\"diverged\":%.1f,\"plans_pruned\":%lld}}\n",
@@ -298,9 +257,8 @@ int Run() {
   std::printf("%-10s %14s %14s %9s\n", "section", "baseline_ms",
               "batched_ms", "delta");
   ProbeNumbers probes = RunProbes();
-  PoolNumbers pools = RunPools();
   ObjectiveNumbers objective = RunObjective();
-  WriteJson(probes, pools, objective);
+  WriteJson(probes, objective);
   std::printf("# wrote BENCH_bindjoin.json\n");
 
   // Machine-readable block for CI trending; fully seeded and simulated,
@@ -309,11 +267,10 @@ int Run() {
               "{\n"
               "  \"bench\": \"bindjoin\",\n"
               "  \"probe_speedup\": %.3f,\n"
-              "  \"pool_identical\": %.1f,\n"
               "  \"objective_diverged\": %.1f\n"
               "}\n"
               "# BENCH_SUMMARY_END\n",
-              probes.speedup, pools.identical, objective.diverged);
+              probes.speedup, objective.diverged);
   return 0;
 }
 

@@ -1,6 +1,6 @@
 // Chaos sweep under degradation contracts (docs/ROBUSTNESS.md): every
 // fault scenario x 25 seeds, each run racing a fault-free oracle over
-// five arms (pools 0/1/4, a byte-identity replay, and the oracle).
+// three arms (faults on, a byte-identity replay, and the oracle).
 // The contracts are hard assertions here -- a run that returns a tuple
 // the oracle didn't, loses one silently, breaks a breaker invariant,
 // calls an open-breaker source, or fails to replay byte-identically
@@ -70,8 +70,6 @@ int Run() {
                               << ": breaker invariant violated";
     DISCO_CHECK(r.no_open_calls) << r.scenario << " seed " << r.seed
                                  << ": call reached an open breaker";
-    DISCO_CHECK(r.pools_identical) << r.scenario << " seed " << r.seed
-                                   << ": pool arms diverged";
     DISCO_CHECK(r.replay_identical) << r.scenario << " seed " << r.seed
                                     << ": replay diverged";
   }

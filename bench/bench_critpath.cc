@@ -62,7 +62,7 @@ double RunFastSlow(double slow_mean_ms,
                    std::shared_ptr<const mediator::CriticalPath>* path) {
   mediator::MediatorOptions opts;
   opts.fault_tolerance.allow_partial = true;
-  opts.fault_tolerance.federation.threads = 2;
+  opts.fault_tolerance.federation.scatter = true;
   opts.fault_tolerance.federation.deadline_ms = 1e9;
   mediator::Mediator med(opts);
   DISCO_CHECK(
@@ -114,7 +114,7 @@ BlameNumbers RunBlame() {
   mediator::MediatorOptions opts;
   opts.fault_tolerance.allow_partial = true;
   opts.fault_tolerance.retry = mediator::RetryPolicy::Standard(3);
-  opts.fault_tolerance.federation.threads = 4;
+  opts.fault_tolerance.federation.scatter = true;
   opts.fault_tolerance.federation.deadline_ms = 1e9;
   mediator::Mediator med(opts);
   DISCO_CHECK(

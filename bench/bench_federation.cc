@@ -84,7 +84,7 @@ ScatterNumbers RunScatter() {
   std::string baseline_tuples;
   for (int scatter : {0, 1}) {
     mediator::FederationOptions fed;
-    if (scatter) fed.threads = 4;
+    fed.scatter = scatter != 0;
     auto med = MakeFourSourceFederation(fed);
     auto plan = FourWayUnion();
     double total = 0;
@@ -183,7 +183,7 @@ DeadlineNumbers RunDeadline() {
   for (int limited : {0, 1}) {
     mediator::MediatorOptions options;
     options.fault_tolerance.allow_partial = true;
-    options.fault_tolerance.federation.threads = 2;
+    options.fault_tolerance.federation.scatter = true;
     options.fault_tolerance.federation.deadline_ms =
         limited ? out.deadline_ms : 1e9;
     options.record_history = false;

@@ -121,16 +121,12 @@ struct Federation {
   std::vector<wrapper::ScheduledFaultWrapper*> taps;
 };
 
-Federation MakeFederation(const wrapper::FaultSchedule* schedule, int pool,
+Federation MakeFederation(const wrapper::FaultSchedule* schedule,
                           const ChaosOptions& options) {
   mediator::MediatorOptions mo;
   mo.fault_tolerance.allow_partial = true;
   mo.fault_tolerance.retry = mediator::RetryPolicy::Standard(3);
-  mo.fault_tolerance.federation.threads = pool;
-  // An always-satisfied deadline keeps every arm on the scatter path,
-  // so pool sizes 0/1/4 exercise the same machinery and must digest
-  // byte-identically.
-  mo.fault_tolerance.federation.deadline_ms = 1e9;
+  mo.fault_tolerance.federation.scatter = true;
   mo.breaker.failure_threshold = 3;
   mo.breaker.cooldown_ms = 80;
   mo.record_history = false;
@@ -183,7 +179,7 @@ struct ArmResult {
   bool known_scenario = true;
 };
 
-ArmResult RunArm(const std::string& scenario, uint64_t seed, int pool,
+ArmResult RunArm(const std::string& scenario, uint64_t seed,
                  bool faults_enabled, const ChaosOptions& options) {
   ArmResult out;
   wrapper::FaultSchedule schedule(0xC4A05ULL ^
@@ -193,7 +189,7 @@ ArmResult RunArm(const std::string& scenario, uint64_t seed, int pool,
     return out;
   }
   schedule.set_enabled(faults_enabled);
-  Federation fed = MakeFederation(&schedule, pool, options);
+  Federation fed = MakeFederation(&schedule, options);
   auto plan = FourWayUnion();
 
   std::map<std::string, mediator::SourceHealth> pre;
@@ -311,37 +307,30 @@ ChaosRunResult RunChaosScenario(const std::string& scenario, uint64_t seed,
   run.scenario = scenario;
   run.seed = seed;
 
-  ArmResult oracle = RunArm(scenario, seed, 4, /*faults_enabled=*/false,
+  ArmResult oracle = RunArm(scenario, seed, /*faults_enabled=*/false,
                             options);
   if (!oracle.known_scenario) {
     run.violations.push_back("unknown scenario '" + scenario + "'");
     return run;
   }
-  ArmResult pool0 = RunArm(scenario, seed, 0, true, options);
-  ArmResult pool1 = RunArm(scenario, seed, 1, true, options);
-  ArmResult pool4 = RunArm(scenario, seed, 4, true, options);
-  ArmResult replay = RunArm(scenario, seed, 4, true, options);
+  ArmResult faults = RunArm(scenario, seed, true, options);
+  ArmResult replay = RunArm(scenario, seed, true, options);
 
-  run.pools_identical =
-      pool0.digest == pool4.digest && pool1.digest == pool4.digest;
-  if (!run.pools_identical) {
-    run.violations.push_back("pool arms 0/1/4 digests diverged");
-  }
-  run.replay_identical = replay.digest == pool4.digest;
+  run.replay_identical = replay.digest == faults.digest;
   if (!run.replay_identical) {
     run.violations.push_back("replay arm digest diverged");
   }
 
-  run.queries_ok = pool4.queries_ok;
-  run.queries_failed = pool4.queries_failed;
-  run.returned_tuples = pool4.returned_tuples;
-  run.quarantined_rows = pool4.quarantined_rows;
-  run.warning_count = pool4.warning_count;
+  run.queries_ok = faults.queries_ok;
+  run.queries_failed = faults.queries_failed;
+  run.returned_tuples = faults.returned_tuples;
+  run.quarantined_rows = faults.quarantined_rows;
+  run.warning_count = faults.warning_count;
 
   // Soundness + attribution against the oracle, query by query.
   for (int q = 0; q < options.queries_per_run; ++q) {
     const QueryObs& truth = oracle.queries[q];
-    const QueryObs& seen = pool4.queries[q];
+    const QueryObs& seen = faults.queries[q];
     if (!truth.ok) {
       run.violations.push_back(
           StringPrintf("q%d: oracle arm itself failed: %s", q,
@@ -387,12 +376,12 @@ ChaosRunResult RunChaosScenario(const std::string& scenario, uint64_t seed,
     }
   }
   run.attributed = attributed;
-  run.breaker_ok = pool4.breaker_violations.empty();
-  run.no_open_calls = pool4.open_call_violations.empty();
-  for (std::string& v : pool4.breaker_violations) {
+  run.breaker_ok = faults.breaker_violations.empty();
+  run.no_open_calls = faults.open_call_violations.empty();
+  for (std::string& v : faults.breaker_violations) {
     run.violations.push_back(std::move(v));
   }
-  for (std::string& v : pool4.open_call_violations) {
+  for (std::string& v : faults.open_call_violations) {
     run.violations.push_back(std::move(v));
   }
   run.availability =

@@ -6,11 +6,11 @@
 // with globally disjoint key ranges executes the same union query
 // stream while a FaultSchedule (wrapper/fault_schedule.h) injects
 // correlated outages, flaps, latency storms, or malformed responses.
-// The same stack runs five arms:
+// The same stack (scatter path on) runs three arms:
 //
 //   oracle     schedule disabled -- the ground-truth answer stream
-//   pool 0/1/4 faults on, federation pool sizes 0, 1, and 4
-//   replay     pool 4 again -- byte-identity of the whole run
+//   faults     schedule enabled
+//   replay     faults on again -- byte-identity of the whole run
 //
 // and every arm's full observable behaviour (per-query tuples,
 // warnings, errors, simulated latency, guard roll-up, final breaker
@@ -25,8 +25,8 @@
 //                 a breaker open before and after a query admitted no
 //                 wrapper call in between (no retries against open
 //                 breakers)
-//   determinism   pool arms 0/1/4 and the replay arm digest
-//                 byte-identically
+//   determinism   the replay arm digests byte-identically to the
+//                 faults arm
 //
 // Scores: availability = returned/oracle tuples (mean over runs),
 // soundness = fraction of runs with zero unsound tuples. The chaos CLI
@@ -55,13 +55,13 @@ struct ChaosOptions {
   std::vector<std::string> scenarios;
 };
 
-/// Outcome of one (scenario, seed) run across all five arms.
+/// Outcome of one (scenario, seed) run across all three arms.
 struct ChaosRunResult {
   std::string scenario;
   uint64_t seed = 0;
 
-  int queries_ok = 0;      ///< faulty-arm queries that returned ok
-  int queries_failed = 0;  ///< faulty-arm queries that errored
+  int queries_ok = 0;      ///< faults-arm queries that returned ok
+  int queries_failed = 0;  ///< faults-arm queries that errored
   int64_t oracle_tuples = 0;
   int64_t returned_tuples = 0;
   int64_t missing_tuples = 0;
@@ -74,8 +74,7 @@ struct ChaosRunResult {
   bool attributed = false;        ///< every missing tuple warned about
   bool breaker_ok = false;        ///< monotone counters, legal states
   bool no_open_calls = false;     ///< open breakers admitted no calls
-  bool pools_identical = false;   ///< pool 0 == pool 1 == pool 4 digest
-  bool replay_identical = false;  ///< replay arm == pool 4 digest
+  bool replay_identical = false;  ///< replay arm == faults arm digest
 
   /// Human-readable contract violations (empty when passed()).
   std::vector<std::string> violations;
@@ -84,7 +83,7 @@ struct ChaosRunResult {
 
   bool passed() const {
     return sound && attributed && breaker_ok && no_open_calls &&
-           pools_identical && replay_identical;
+           replay_identical;
   }
 };
 
@@ -106,7 +105,7 @@ struct ChaosSweepResult {
 /// malformed-types, malformed-nonfinite, truncated-stream, mixed.
 std::vector<std::string> AllChaosScenarios();
 
-/// Runs one (scenario, seed) pair through all five arms and checks
+/// Runs one (scenario, seed) pair through all three arms and checks
 /// every contract. Unknown scenario names fail with a violation.
 ChaosRunResult RunChaosScenario(const std::string& scenario, uint64_t seed,
                                 const ChaosOptions& options = {});

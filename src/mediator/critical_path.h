@@ -12,7 +12,7 @@
 // scatter/hedge/retry DAG on the simulated clock: a segment list whose
 // durations sum to measured_ms exactly (the accounting identity of the
 // profiler, asserted in tests) and which is byte-identical across
-// federation pool sizes. On top of it:
+// runs. On top of it:
 //
 //  - a what-if engine re-solves the DAG under hypothetical changes
 //    ("source B 2x faster", "hedges disabled", "operator X free") and
@@ -97,8 +97,8 @@ struct WhatIfResult {
 ///
 ///   sum(segment.ms) == measured_ms
 ///
-/// and the segment list is byte-identical across federation pool sizes
-/// (every input is pool-size invariant).
+/// and the segment list is byte-identical across runs (every input comes
+/// from the simulated clock).
 struct CriticalPath {
   std::string fingerprint;   ///< query-log plan fingerprint
   double measured_ms = 0;

@@ -31,8 +31,7 @@ bool TupleLess(const Tuple& a, const Tuple& b) {
   return a.size() < b.size();
 }
 
-/// Approximate wire size of a tuple in bytes (shared by the serial
-/// submit loop and the scatter tasks).
+/// Approximate wire size of a tuple in bytes.
 int64_t TupleWireBytes(const Tuple& t) {
   int64_t bytes = 0;
   for (const Value& v : t) {
@@ -66,10 +65,6 @@ std::string ExecWarning::ToString() const {
     out += " [breaker " + breaker + "]";
   }
   return out;
-}
-
-int64_t MediatorExecutor::TupleBytes(const storage::Tuple& t) {
-  return TupleWireBytes(t);
 }
 
 Result<ExecResult> MediatorExecutor::Execute(const Operator& plan) {
@@ -146,52 +141,172 @@ void MediatorExecutor::BumpCounter(const char* name, int64_t delta) {
   if (metrics_ != nullptr) metrics_->counter(name)->Increment(delta);
 }
 
-void MediatorExecutor::ApplyGuardReport(const GuardReport& report,
-                                        const std::string& source_lower,
-                                        int attempts,
-                                        const std::string& breaker,
-                                        int subplan_index,
-                                        std::vector<ExecWarning>* warning_sink) {
-  guard_stats_.Absorb(report);
-  BumpCounter("disco.guard.batches");
-  if (!report.any()) return;
-  BumpCounter("disco.guard.malformed_batches");
-  if (report.rows_quarantined > 0) {
-    BumpCounter("disco.guard.quarantined_rows", report.rows_quarantined);
+// ---- the submit engine ----------------------------------------------------
+//
+// One attempt loop (RunAttempts), one health replay (ReplayHealth), one
+// counter/budget reconciliation (Reconcile) and one commit step
+// (CommitAnswer), shared by the serial submit, the scatter phase, its
+// hedges and the bind-join probe waves. What differs between them is the
+// lane the loop runs on.
+
+namespace {
+
+/// One breaker-relevant outcome a concurrent lane observed, replayed into
+/// the shared registry in global timestamp order.
+struct HealthEvent {
+  /// kGate replays an AllowSubmit (admitted or rejected): the shared
+  /// registry must take the same half-open probe admissions as the
+  /// lane's private copy, or probe bookkeeping (single-probe gating,
+  /// flap-damped cooldowns) would drift between them.
+  enum Kind { kGate, kSuccess, kFailure, kMalformed, kWellFormed };
+  Kind kind = kSuccess;
+  double at_ms = 0;  ///< on the lane clock
+  int64_t rows = 0;  ///< kMalformed: rows the guard quarantined
+};
+
+/// Applies `ev` to `registry` at `at_abs_ms`. Returns the gate's verdict
+/// for kGate, true otherwise.
+bool ApplyHealthEvent(SourceHealthRegistry* registry, const std::string& key,
+                      const HealthEvent& ev, double at_abs_ms) {
+  switch (ev.kind) {
+    case HealthEvent::kGate:
+      return registry->AllowSubmit(key, at_abs_ms);
+    case HealthEvent::kSuccess:
+      registry->RecordSuccess(key, at_abs_ms);
+      break;
+    case HealthEvent::kFailure:
+      registry->RecordFailure(key, at_abs_ms);
+      break;
+    case HealthEvent::kMalformed:
+      registry->RecordMalformed(key, at_abs_ms, ev.rows);
+      break;
+    case HealthEvent::kWellFormed:
+      registry->RecordWellFormed(key, at_abs_ms);
+      break;
   }
-  if (report.truncated) BumpCounter("disco.guard.truncated_streams");
-  if (trace_ != nullptr) {
-    trace_->Instant("result guard quarantine @" + source_lower, "guard");
-  }
-  ExecWarning w{source_lower, report.Message(), attempts, breaker};
-  w.subplan_index = subplan_index;
-  if (warning_sink != nullptr) {
-    warning_sink->push_back(std::move(w));
-  } else {
-    AddWarning(std::move(w));
-  }
+  return true;
 }
 
-Result<sources::ExecutionResult> MediatorExecutor::SubmitToSource(
-    const std::string& source, const Operator& subplan) {
-  DISCO_ASSIGN_OR_RETURN(wrapper::Wrapper * w, WrapperFor(source));
-  const std::string key = ToLower(source);
-  const RetryPolicy& retry = exec_options_.retry;
-  const int max_attempts = std::max(1, retry.max_attempts);
+}  // namespace
 
-  BumpCounter("disco.exec.submits");
-  tracing::ScopedSpan span(trace_, "submit @" + key, "submit");
-  const std::string breaker_before = BreakerStateNow(key);
-  if (!breaker_before.empty()) span.Arg("breaker_before", breaker_before);
-  const double submit_start_ms = elapsed_ms_;
-
-  Status last;
+struct MediatorExecutor::SubmitOutcome {
+  std::string key;                ///< lower-cased source the attempts went to
+  Status status;
+  sources::ExecutionResult exec;  ///< valid when status is ok
+  int64_t bytes = 0;              ///< wire size of the answer
+  double start_ms = 0;            ///< lane clock
+  double end_ms = 0;
   int attempts = 0;
+  int retries = 0;  ///< retries scheduled = retry-budget units spent
+  int rejections = 0;
+  bool budget_exhausted = false;
+  /// Genuine source-availability exhaustion (replan/breaker relevant);
+  /// false for hard errors, which retrying cannot help.
+  bool availability_failure = false;
+  GuardReport guard;           ///< result-guard findings on `exec`
+  bool guard_checked = false;  ///< the guard ran on this answer
+  /// The lane's breaker state when the answer was validated (after the
+  /// success, before the guard verdict) -- the one read behind this
+  /// answer's quarantine and recovery warnings. "" without a registry.
+  std::string breaker;
+  std::vector<ExecWarning> recoveries;  ///< "recovered after ..." warnings
+  ExecWarning failure;                  ///< filled when status is not ok
+  std::vector<HealthEvent> events;      ///< concurrent lanes: replay log
+};
+
+/// The serial lane is the executor itself: its clock (every step charged
+/// with ChargeWait, so measured_ms, breaker timestamps and trace instants
+/// see the same additions step by step), the shared registry, the
+/// executor's RNG and budget, and live trace instants. A concurrent lane
+/// (scatter group, hedge group, probe-wave lane) runs on a relative
+/// clock against a private registry and a seeded RNG stream, and logs
+/// its health events for ReplayHealth.
+struct MediatorExecutor::Lane {
+  /// Serial lane: the executor each step is also charged to. Null on a
+  /// concurrent lane.
+  MediatorExecutor* serial = nullptr;
+  SourceHealthRegistry* health = nullptr;  ///< breaker gate; null = none
+  std::unique_ptr<SourceHealthRegistry> private_health;
+  Rng rng{0};
+  double epoch_abs_ms = 0;  ///< lane clock 0 on the mediator's clock
+  double clock_ms = 0;
+  int budget = std::numeric_limits<int>::max();  ///< retry units left
+
+  double now_abs_ms() const { return epoch_abs_ms + clock_ms; }
+  void Advance(double ms) {
+    clock_ms += ms;
+    if (serial != nullptr) serial->ChargeWait(ms);
+  }
+  std::string BreakerState(const std::string& key) const {
+    return health == nullptr
+               ? std::string()
+               : BreakerStateToString(health->StateAt(key, now_abs_ms()));
+  }
+  /// Feeds one health event to the lane's registry and, on a concurrent
+  /// lane, logs it for the replay. Returns the gate's verdict for kGate.
+  bool Note(SubmitOutcome* o, HealthEvent::Kind kind, int64_t rows = 0) {
+    if (health == nullptr) return true;
+    const HealthEvent ev{kind, clock_ms, rows};
+    if (serial == nullptr) o->events.push_back(ev);
+    return ApplyHealthEvent(health, o->key, ev, now_abs_ms());
+  }
+};
+
+struct MediatorExecutor::Tally {
+  int64_t submits = 0;
+  int64_t attempts = 0;
+  int64_t retries = 0;  ///< the disco.exec.submit_retries increment
+  int64_t rejections = 0;
+  int64_t exhausted = 0;
+  int budget_units = 0;
+
+  void Add(const SubmitOutcome& o) {
+    attempts += o.attempts;
+    retries += o.retries;
+    rejections += o.rejections;
+    if (o.budget_exhausted) ++exhausted;
+    budget_units += o.retries;
+  }
+};
+
+int MediatorExecutor::RetryBudgetLeft() const {
+  const int budget = exec_options_.retry.query_retry_budget;
+  return budget > 0 ? std::max(0, budget - retries_used_)
+                    : std::numeric_limits<int>::max();
+}
+
+MediatorExecutor::Lane MediatorExecutor::ConcurrentLane(
+    const std::string& key, uint64_t stream, double epoch_abs_ms,
+    int budget) const {
+  Lane lane;
+  lane.rng = Rng(exec_options_.jitter_seed ^ stream);
+  lane.epoch_abs_ms = epoch_abs_ms;
+  lane.budget = budget;
+  if (health_ != nullptr) {
+    lane.private_health =
+        std::make_unique<SourceHealthRegistry>(health_->options());
+    lane.private_health->Adopt(key, health_->Health(key));
+    lane.health = lane.private_health.get();
+  }
+  return lane;
+}
+
+MediatorExecutor::SubmitOutcome MediatorExecutor::RunAttempts(
+    Lane* lane, wrapper::Wrapper* w, const std::string& source,
+    const std::string& key, const Operator& subplan, int max_attempts) {
+  const RetryPolicy& retry = exec_options_.retry;
+  // The serial lane marks its steps on the trace as they happen;
+  // concurrent lanes are drawn as spans when they are gathered.
+  tracing::Trace* live = lane->serial != nullptr ? trace_ : nullptr;
+  SubmitOutcome o;
+  o.key = key;
+  o.start_ms = lane->clock_ms;
+  Status last;
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    if (health_ != nullptr && !health_->AllowSubmit(key, Now())) {
-      BumpCounter("disco.exec.breaker_rejections");
-      if (trace_ != nullptr) {
-        trace_->Instant("breaker rejected submit @" + key, "breaker");
+    if (!lane->Note(&o, HealthEvent::kGate)) {
+      ++o.rejections;
+      if (live != nullptr) {
+        live->Instant("breaker rejected submit @" + key, "breaker");
       }
       if (last.ok()) {
         last = Status::Unavailable("source '" + source +
@@ -199,137 +314,251 @@ Result<sources::ExecutionResult> MediatorExecutor::SubmitToSource(
       }
       break;  // the breaker tripped: further retries are pointless
     }
-    attempts = attempt;
-    BumpCounter("disco.exec.submit_attempts");
-    if (attempt > 1) BumpCounter("disco.exec.submit_retries");
+    o.attempts = attempt;
     Result<sources::ExecutionResult> result = w->Execute(subplan);
     if (!result.ok() && !result.status().IsUnavailable() &&
         !result.status().IsExecutionError()) {
       // Not a source-availability failure (e.g. a malformed subplan):
       // retrying cannot help and the breaker must not trip.
-      span.Arg("outcome", "error");
-      return result.status().WithContext("source '" + source + "'");
+      o.status = result.status().WithContext("source '" + source + "'");
+      o.end_ms = lane->clock_ms;
+      o.failure = ExecWarning{key, o.status.message(), attempt, ""};
+      return o;
     }
     const bool timed_out = result.ok() && retry.attempt_timeout_ms > 0 &&
                            result->total_ms > retry.attempt_timeout_ms;
     if (result.ok() && !timed_out) {
       // Communication: one round trip plus shipping the subanswer.
-      int64_t bytes = 0;
-      for (const Tuple& t : result->tuples) bytes += TupleBytes(t);
-      ChargeWait(result->total_ms + params_.ms_msg_latency +
-                 params_.ms_per_net_byte * static_cast<double>(bytes));
-      if (health_ != nullptr) health_->RecordSuccess(key, Now());
-
+      for (const Tuple& t : result->tuples) o.bytes += TupleWireBytes(t);
+      lane->Advance(result->total_ms + params_.ms_msg_latency +
+                    params_.ms_per_net_byte * static_cast<double>(o.bytes));
+      lane->Note(&o, HealthEvent::kSuccess);
       // Result guard: validate the subanswer against the catalog shape
       // *after* paying to ship it (corrupted bytes still crossed the
       // wire), quarantining malformed rows before anything downstream
-      // sees them. Persistent malformation reaches the breaker as a
-      // lying-source signal.
+      // sees them.
       if (exec_options_.guard_responses) {
         GuardExpectation expect;
         if (catalog_ != nullptr) {
           expect = MakeGuardExpectation(subplan, *catalog_);
         }
-        const GuardReport guard = ValidateSubanswer(expect, &*result);
-        ApplyGuardReport(guard, key, attempt, BreakerStateNow(key),
-                         /*subplan_index=*/-1);
-        if (health_ != nullptr) {
-          if (guard.any()) {
-            health_->RecordMalformed(key, Now(), guard.rows_quarantined);
-          } else {
-            health_->RecordWellFormed(key, Now());
-          }
-        }
+        o.guard = ValidateSubanswer(expect, &*result);
+        o.guard_checked = true;
       }
-
-      SubqueryRecord record;
-      record.source = source;
-      record.subplan = subplan.Clone();
-      record.source_ms = result->total_ms;
-      record.attempts = attempt;
-      const auto n = static_cast<double>(result->tuples.size());
-      record.measured = costmodel::CostVector::Full(
-          n, static_cast<double>(bytes),
-          n > 0 ? static_cast<double>(bytes) / n : 0, result->first_tuple_ms,
-          n > 1 ? (result->total_ms - result->first_tuple_ms) / (n - 1) : 0,
-          result->total_ms);
-      subqueries_.push_back(std::move(record));
-
+      o.breaker = lane->BreakerState(key);
       if (attempt > 1) {
-        AddWarning(ExecWarning{
+        o.recoveries.push_back(ExecWarning{
             key,
             StringPrintf("recovered after %d failed attempt%s", attempt - 1,
                          attempt == 2 ? "" : "s"),
-            attempt, BreakerStateNow(key)});
+            attempt, o.breaker});
       }
-      last_submit_attempts_ = attempts;
-      span.Arg("attempts", int64_t{attempts});
-      span.Arg("rows", static_cast<int64_t>(result->tuples.size()));
-      span.Arg("source_ms", result->total_ms);
-      span.Arg("outcome", "ok");
-      const std::string breaker_after = BreakerStateNow(key);
-      if (!breaker_after.empty() && breaker_after != breaker_before) {
-        span.Arg("breaker_after", breaker_after);
+      o.exec = std::move(*result);
+      o.end_ms = lane->clock_ms;
+      // The serial lane keeps every answer, so it commits here, before
+      // the guard verdict reaches the breaker: the quarantine instant
+      // then precedes any lying-source transition it causes. Concurrent
+      // lanes commit when they are gathered.
+      if (lane->serial != nullptr) {
+        CommitAnswer(o, source, subplan, attempt, o.end_ms - o.start_ms,
+                     std::move(o.recoveries), nullptr);
       }
-      if (metrics_ != nullptr) {
-        metrics_->histogram("disco.submit.ms")
-            ->Record(elapsed_ms_ - submit_start_ms);
-        metrics_->histogram("disco.submit.rows")
-            ->Record(static_cast<double>(result->tuples.size()));
+      // Persistent malformation reaches the breaker as a lying-source
+      // signal.
+      if (o.guard_checked) {
+        lane->Note(&o,
+                   o.guard.any() ? HealthEvent::kMalformed
+                                 : HealthEvent::kWellFormed,
+                   o.guard.rows_quarantined);
       }
-      if (profile_ != nullptr) {
-        profile_->Observe(key, elapsed_ms_ - submit_start_ms);
-      }
-      return result;
+      return o;
     }
     // Failed attempt: a timeout charges the budget it burned; an error
     // charges the round trip that discovered it.
     if (timed_out) {
-      ChargeWait(params_.ms_msg_latency + retry.attempt_timeout_ms);
+      lane->Advance(params_.ms_msg_latency + retry.attempt_timeout_ms);
       last = Status::Unavailable(StringPrintf(
           "source '%s': attempt timed out (%.1f ms > %.1f ms budget)",
           source.c_str(), result->total_ms, retry.attempt_timeout_ms));
     } else {
-      ChargeWait(params_.ms_msg_latency);
+      lane->Advance(params_.ms_msg_latency);
       last = result.status().WithContext("source '" + source + "'");
     }
-    if (health_ != nullptr) health_->RecordFailure(key, Now());
-    if (trace_ != nullptr) {
-      int mark = trace_->Instant(
+    lane->Note(&o, HealthEvent::kFailure);
+    if (live != nullptr) {
+      int mark = live->Instant(
           timed_out ? "attempt timed out" : "attempt failed", "submit");
-      trace_->AddArg(mark, "attempt", int64_t{attempt});
+      live->AddArg(mark, "attempt", int64_t{attempt});
     }
     if (attempt < max_attempts) {
       // The per-query retry budget is shared across every submit (and
       // hedge) of this execution: once spent, no source gets another
       // attempt, so a multi-source flap cannot multiply into a storm.
-      if (retry.query_retry_budget > 0 &&
-          retries_used_ >= retry.query_retry_budget) {
-        BumpCounter("disco.mediator.retry_budget.exhausted");
+      if (retry.query_retry_budget > 0 && lane->budget <= 0) {
+        o.budget_exhausted = true;
         last = Status::Unavailable(last.message() +
                                    " (query retry budget exhausted)");
         break;
       }
-      ++retries_used_;
-      ChargeWait(retry.BackoffMs(attempt, &rng_));
+      --lane->budget;
+      ++o.retries;
+      lane->Advance(retry.BackoffMs(attempt, &lane->rng));
     }
   }
 
-  BumpCounter("disco.exec.submit_failures");
-  NoteFailedSource(key);
+  o.availability_failure = true;
   std::string msg = last.message();
-  if (attempts > 1) {
-    msg += StringPrintf(" (gave up after %d attempts)", attempts);
+  if (o.attempts > 1) {
+    msg += StringPrintf(" (gave up after %d attempts)", o.attempts);
   }
-  last_submit_attempts_ = attempts;
-  last_failure_ = ExecWarning{key, msg, attempts, BreakerStateNow(key)};
-  span.Arg("attempts", int64_t{attempts});
-  span.Arg("outcome", "unavailable");
+  o.status = Status::Unavailable(msg);
+  o.end_ms = lane->clock_ms;
+  o.failure = ExecWarning{key, msg, o.attempts, lane->BreakerState(key)};
+  return o;
+}
+
+void MediatorExecutor::CommitAnswer(const SubmitOutcome& o,
+                                    const std::string& record_source,
+                                    const Operator& subplan, int attempts,
+                                    double response_ms,
+                                    std::vector<ExecWarning> notes,
+                                    std::vector<ExecWarning>* sink) {
+  auto emit = [&](ExecWarning w) {
+    if (sink != nullptr) {
+      sink->push_back(std::move(w));
+    } else {
+      AddWarning(std::move(w));
+    }
+  };
+  // Only a kept answer's guard report counts: a quarantine on a
+  // discarded hedge loser never reached the query (its breaker effects
+  // still replay).
+  if (o.guard_checked) {
+    const GuardReport& report = o.guard;
+    guard_stats_.Absorb(report);
+    BumpCounter("disco.guard.batches");
+    if (report.any()) {
+      BumpCounter("disco.guard.malformed_batches");
+      if (report.rows_quarantined > 0) {
+        BumpCounter("disco.guard.quarantined_rows", report.rows_quarantined);
+      }
+      if (report.truncated) BumpCounter("disco.guard.truncated_streams");
+      if (trace_ != nullptr) {
+        trace_->Instant("result guard quarantine @" + o.key, "guard");
+      }
+      emit(ExecWarning{o.key, report.Message(), attempts, o.breaker});
+    }
+  }
+
+  SubqueryRecord record;
+  record.source = record_source;
+  record.subplan = subplan.Clone();
+  record.source_ms = o.exec.total_ms;
+  record.attempts = attempts;
+  const auto n = static_cast<double>(o.exec.tuples.size());
+  const auto bytes = static_cast<double>(o.bytes);
+  record.measured = costmodel::CostVector::Full(
+      n, bytes, n > 0 ? bytes / n : 0, o.exec.first_tuple_ms,
+      n > 1 ? (o.exec.total_ms - o.exec.first_tuple_ms) / (n - 1) : 0,
+      o.exec.total_ms);
+  subqueries_.push_back(std::move(record));
+
+  if (metrics_ != nullptr) {
+    metrics_->histogram("disco.submit.ms")->Record(response_ms);
+    metrics_->histogram("disco.submit.rows")->Record(n);
+  }
+  // The answering source's own latency feeds the hedge thresholds.
+  if (profile_ != nullptr) profile_->Observe(o.key, o.end_ms - o.start_ms);
+  for (ExecWarning& w : notes) emit(std::move(w));
+}
+
+void MediatorExecutor::ReplayHealth(
+    const std::vector<std::pair<const SubmitOutcome*, double>>& logs,
+    double epoch_abs_ms) {
+  if (health_ == nullptr) return;
+  struct Replay {
+    const HealthEvent* ev;
+    const std::string* key;
+  };
+  std::vector<Replay> replays;
+  for (const auto& [o, cut] : logs) {
+    for (const HealthEvent& ev : o->events) {
+      if (ev.at_ms <= cut) replays.push_back({&ev, &o->key});
+    }
+  }
+  std::stable_sort(replays.begin(), replays.end(),
+                   [](const Replay& a, const Replay& b) {
+                     return a.ev->at_ms < b.ev->at_ms;
+                   });
+  for (const Replay& r : replays) {
+    ApplyHealthEvent(health_, *r.key, *r.ev, epoch_abs_ms + r.ev->at_ms);
+  }
+}
+
+void MediatorExecutor::Reconcile(const Tally& tally) {
+  retries_used_ += tally.budget_units;
+  BumpCounter("disco.exec.submits", tally.submits);
+  BumpCounter("disco.exec.submit_attempts", tally.attempts);
+  if (tally.retries > 0) {
+    BumpCounter("disco.exec.submit_retries", tally.retries);
+  }
+  if (tally.rejections > 0) {
+    BumpCounter("disco.exec.breaker_rejections", tally.rejections);
+  }
+  if (tally.exhausted > 0) {
+    BumpCounter("disco.mediator.retry_budget.exhausted", tally.exhausted);
+  }
+}
+
+Result<sources::ExecutionResult> MediatorExecutor::SubmitToSource(
+    const std::string& source, const Operator& subplan) {
+  DISCO_ASSIGN_OR_RETURN(wrapper::Wrapper * w, WrapperFor(source));
+  const std::string key = ToLower(source);
+
+  tracing::ScopedSpan span(trace_, "submit @" + key, "submit");
+  const std::string breaker_before = BreakerStateNow(key);
+  if (!breaker_before.empty()) span.Arg("breaker_before", breaker_before);
+
+  Lane lane;
+  lane.serial = this;
+  lane.health = health_;
+  lane.rng = rng_;
+  lane.epoch_abs_ms = base_now_ms_;
+  lane.clock_ms = elapsed_ms_;
+  lane.budget = RetryBudgetLeft();
+  SubmitOutcome o = RunAttempts(&lane, w, source, key, subplan, MaxAttempts());
+  rng_ = lane.rng;
+
+  Tally tally;
+  tally.Add(o);
+  tally.submits = 1;
+  // The serial lane counts the retries that ran; concurrent lanes count
+  // the retries they scheduled, one the breaker then rejected included.
+  tally.retries = std::max(0, o.attempts - 1);
+  Reconcile(tally);
+
+  if (!o.status.ok() && !o.availability_failure) {
+    span.Arg("outcome", "error");
+    return o.status;
+  }
+  last_submit_attempts_ = o.attempts;
+  span.Arg("attempts", int64_t{o.attempts});
+  if (o.status.ok()) {
+    span.Arg("rows", static_cast<int64_t>(o.exec.tuples.size()));
+    span.Arg("source_ms", o.exec.total_ms);
+    span.Arg("outcome", "ok");
+  } else {
+    BumpCounter("disco.exec.submit_failures");
+    NoteFailedSource(key);
+    last_failure_ = o.failure;
+    span.Arg("outcome", "unavailable");
+  }
   const std::string breaker_after = BreakerStateNow(key);
   if (!breaker_after.empty() && breaker_after != breaker_before) {
     span.Arg("breaker_after", breaker_after);
   }
-  return Status::Unavailable(msg);
+  if (!o.status.ok()) return o.status;
+  return std::move(o.exec);
 }
 
 Result<Rel> MediatorExecutor::EvalBindJoin(const Operator& op) {
@@ -785,192 +1014,11 @@ Result<Rel> MediatorExecutor::EvalNode(const Operator& op) {
   return Status::Internal("bad operator kind");
 }
 
-namespace {
-
-/// One breaker-relevant outcome observed inside a scatter task, replayed
-/// into the shared registry at gather time in global timestamp order.
-struct HealthEvent {
-  /// kAllowed replays an AllowSubmit that returned true: the shared
-  /// registry must take the same half-open probe admissions as the
-  /// task's private copy, or probe bookkeeping (single-probe gating,
-  /// flap-damped cooldowns) would drift between them.
-  enum Kind { kSuccess, kFailure, kRejected, kAllowed, kMalformed,
-              kWellFormed };
-  Kind kind = kSuccess;
-  double at_rel_ms = 0;  ///< relative to scatter start
-  int64_t rows = 0;      ///< kMalformed: rows the guard quarantined
-};
-
-/// Everything one scatter (or hedge) task produced for one submit.
-/// Written only by the owning task (the slot discipline of
-/// common/thread_pool); read at gather on the main thread.
-struct TaskOutcome {
-  Status status;
-  sources::ExecutionResult exec;  ///< valid when status is ok
-  int64_t bytes = 0;              ///< wire size of the subanswer
-  double start_rel_ms = 0;        ///< relative to scatter start
-  double end_rel_ms = 0;
-  int attempts = 0;
-  int retries = 0;
-  int rejections = 0;
-  bool budget_exhausted = false;
-  /// Genuine source-availability exhaustion (replan/breaker relevant);
-  /// false for hard errors, which retrying cannot help.
-  bool availability_failure = false;
-  std::vector<ExecWarning> warnings;  ///< recovery warnings, task order
-  ExecWarning failure;                ///< filled when status is not ok
-  std::vector<HealthEvent> events;
-  GuardReport guard;          ///< result-guard findings on `exec`
-  bool guard_checked = false; ///< guard ran on this answer
-};
-
-/// The serial submit loop (MediatorExecutor::SubmitToSource) transplanted
-/// onto task-local state: same breaker gate, retry policy, timeout
-/// handling, charging rules, and message text, but clocked by the task's
-/// relative clock and gated against a private health registry (null =
-/// no gating, like a serial run without a registry).
-TaskOutcome RunScatterSubmit(wrapper::Wrapper* w, const std::string& source,
-                             const std::string& key,
-                             const Operator& subplan,
-                             const MediatorCostParams& params,
-                             const RetryPolicy& retry,
-                             SourceHealthRegistry* health, Rng* rng,
-                             double* clock_rel_ms, double scatter_abs_ms,
-                             int* budget_remaining,
-                             int max_attempts_override,
-                             const GuardExpectation* guard) {
-  TaskOutcome out;
-  out.start_rel_ms = *clock_rel_ms;
-  const int max_attempts = max_attempts_override > 0
-                               ? max_attempts_override
-                               : std::max(1, retry.max_attempts);
-  auto breaker_str = [&]() {
-    return health != nullptr
-               ? std::string(BreakerStateToString(
-                     health->StateAt(key, scatter_abs_ms + *clock_rel_ms)))
-               : std::string();
-  };
-
-  Status last;
-  int attempts = 0;
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    if (health != nullptr &&
-        !health->AllowSubmit(key, scatter_abs_ms + *clock_rel_ms)) {
-      ++out.rejections;
-      out.events.push_back({HealthEvent::kRejected, *clock_rel_ms});
-      if (last.ok()) {
-        last = Status::Unavailable("source '" + source +
-                                   "': circuit breaker open");
-      }
-      break;  // the breaker tripped: further retries are pointless
-    }
-    if (health != nullptr) {
-      out.events.push_back({HealthEvent::kAllowed, *clock_rel_ms});
-    }
-    attempts = attempt;
-    Result<sources::ExecutionResult> result = w->Execute(subplan);
-    if (!result.ok() && !result.status().IsUnavailable() &&
-        !result.status().IsExecutionError()) {
-      // Hard error (e.g. malformed subplan): no charge, no health
-      // report, not replan-eligible -- mirror the serial early return.
-      out.status = result.status().WithContext("source '" + source + "'");
-      out.attempts = attempts;
-      out.retries = attempts - 1;
-      out.end_rel_ms = *clock_rel_ms;
-      out.failure = ExecWarning{key, out.status.message(), attempts, ""};
-      return out;
-    }
-    const bool timed_out = result.ok() && retry.attempt_timeout_ms > 0 &&
-                           result->total_ms > retry.attempt_timeout_ms;
-    if (result.ok() && !timed_out) {
-      int64_t bytes = 0;
-      for (const Tuple& t : result->tuples) bytes += TupleWireBytes(t);
-      *clock_rel_ms += result->total_ms + params.ms_msg_latency +
-                       params.ms_per_net_byte * static_cast<double>(bytes);
-      if (health != nullptr) {
-        health->RecordSuccess(key, scatter_abs_ms + *clock_rel_ms);
-      }
-      out.events.push_back({HealthEvent::kSuccess, *clock_rel_ms});
-      if (guard != nullptr) {
-        // Validate on the task (quarantine mutates the answer before it
-        // is gathered); the private registry sees the malformation now,
-        // the shared one at replay.
-        out.guard = ValidateSubanswer(*guard, &*result);
-        out.guard_checked = true;
-        if (out.guard.any()) {
-          if (health != nullptr) {
-            health->RecordMalformed(key, scatter_abs_ms + *clock_rel_ms,
-                                    out.guard.rows_quarantined);
-          }
-          out.events.push_back({HealthEvent::kMalformed, *clock_rel_ms,
-                                out.guard.rows_quarantined});
-        } else {
-          if (health != nullptr) {
-            health->RecordWellFormed(key, scatter_abs_ms + *clock_rel_ms);
-          }
-          out.events.push_back({HealthEvent::kWellFormed, *clock_rel_ms});
-        }
-      }
-      if (attempt > 1) {
-        out.warnings.push_back(ExecWarning{
-            key,
-            StringPrintf("recovered after %d failed attempt%s", attempt - 1,
-                         attempt == 2 ? "" : "s"),
-            attempt, breaker_str()});
-      }
-      out.exec = std::move(*result);
-      out.bytes = bytes;
-      out.attempts = attempt;
-      out.retries = attempt - 1;
-      out.end_rel_ms = *clock_rel_ms;
-      return out;
-    }
-    if (timed_out) {
-      *clock_rel_ms += params.ms_msg_latency + retry.attempt_timeout_ms;
-      last = Status::Unavailable(StringPrintf(
-          "source '%s': attempt timed out (%.1f ms > %.1f ms budget)",
-          source.c_str(), result->total_ms, retry.attempt_timeout_ms));
-    } else {
-      *clock_rel_ms += params.ms_msg_latency;
-      last = result.status().WithContext("source '" + source + "'");
-    }
-    if (health != nullptr) {
-      health->RecordFailure(key, scatter_abs_ms + *clock_rel_ms);
-    }
-    out.events.push_back({HealthEvent::kFailure, *clock_rel_ms});
-    if (attempt < max_attempts) {
-      if (retry.query_retry_budget > 0 && *budget_remaining <= 0) {
-        out.budget_exhausted = true;
-        last = Status::Unavailable(last.message() +
-                                   " (query retry budget exhausted)");
-        break;
-      }
-      --*budget_remaining;
-      ++out.retries;
-      *clock_rel_ms += retry.BackoffMs(attempt, rng);
-    }
-  }
-
-  out.availability_failure = true;
-  std::string msg = last.message();
-  if (attempts > 1) {
-    msg += StringPrintf(" (gave up after %d attempts)", attempts);
-  }
-  out.status = Status::Unavailable(msg);
-  out.attempts = attempts;
-  out.end_rel_ms = *clock_rel_ms;
-  out.failure = ExecWarning{key, msg, attempts, breaker_str()};
-  return out;
-}
-
-}  // namespace
-
 Status MediatorExecutor::RunBindProbeWaves(
     const Operator& op, wrapper::Wrapper* w, const std::vector<Value>& keys,
     std::vector<std::vector<Tuple>>* answers, int64_t* probes,
     int64_t* batches) {
   const FederationOptions& fed = exec_options_.federation;
-  const RetryPolicy& retry = exec_options_.retry;
   const double kInf = std::numeric_limits<double>::infinity();
   const int batch_size = std::max(1, fed.bind_batch_size);
   const int parallelism = std::max(1, fed.bind_parallelism);
@@ -979,13 +1027,11 @@ Status MediatorExecutor::RunBindProbeWaves(
   // Capability gate: wrappers without in_select get each batch
   // decomposed into per-key equality selects (still one probe lane).
   const bool in_capable = w->ExportCapabilities().in_select;
-  const bool guard_on = exec_options_.guard_responses;
 
   // ---- deterministic fixed-size batches over the distinct keys --------
   struct Batch {
     std::vector<size_t> key_slots;  ///< indices into `keys`
     std::vector<std::unique_ptr<Operator>> subplans;  ///< 1 (IN) or per-key
-    std::vector<GuardExpectation> guards;
   };
   std::vector<Batch> all;
   for (size_t start = 0; start < keys.size();
@@ -1007,19 +1053,12 @@ Status MediatorExecutor::RunBindProbeWaves(
                                              keys[k]));
       }
     }
-    if (guard_on) {
-      for (const auto& p : b.subplans) {
-        b.guards.push_back(MakeGuardExpectation(*p, *catalog_));
-      }
-    }
     all.push_back(std::move(b));
   }
   *batches = static_cast<int64_t>(all.size());
 
   const int lane_base = 1 + trace_lane_base_;
   int lanes_named = 0;
-  const bool budgeted = retry.query_retry_budget > 0;
-  int64_t waves = 0;
 
   size_t next = 0;
   while (next < all.size()) {
@@ -1046,53 +1085,35 @@ Status MediatorExecutor::RunBindProbeWaves(
     const size_t wave_end =
         std::min(all.size(), wave_begin + static_cast<size_t>(width));
     next = wave_end;
-    ++waves;
 
     // ---- run the wave's lanes -----------------------------------------
-    // Every probe targets the one probed wrapper, which is not
-    // thread-safe (same-wrapper submits stay serial on the scatter path
-    // for the same reason), so lanes execute serially in batch order.
-    // Concurrency is simulated: each lane starts at the wave epoch on
-    // its own relative clock, and the wave charges max-not-sum.
+    // Each batch is one concurrent lane starting at the wave epoch; the
+    // wave charges max-not-sum.
     const double wave_start_ms = elapsed_ms_;
     const double wave_trace_ms = trace_ != nullptr ? trace_->now_ms() : 0;
     const double wave_abs_ms = Now();
-    struct Lane {
-      double clock_rel = 0;
-      std::vector<TaskOutcome> outcomes;  ///< one per batch subplan
+    struct WaveLane {
+      double clock_ms = 0;                  ///< where the lane stopped
+      std::vector<SubmitOutcome> outcomes;  ///< one per batch subplan
       int failed = -1;  ///< index of the failing subplan (-1 = none)
-      int retries = 0;
-      std::unique_ptr<SourceHealthRegistry> health;
     };
-    std::vector<Lane> lanes(wave_end - wave_begin);
+    std::vector<WaveLane> lanes(wave_end - wave_begin);
     for (size_t li = 0; li < lanes.size(); ++li) {
-      Lane& lane = lanes[li];
-      Batch& b = all[wave_begin + li];
-      if (health_ != nullptr) {
-        lane.health =
-            std::make_unique<SourceHealthRegistry>(health_->options());
-        lane.health->Adopt(key, health_->Health(key));
-      }
+      WaveLane& wl = lanes[li];
+      const Batch& b = all[wave_begin + li];
       // Probe-lane RNG stream, disjoint from the scatter/hedge streams.
-      Rng rng(exec_options_.jitter_seed ^
-              (0xC2B2AE3D27D4EB4FULL * (++bind_probe_lane_seq_)));
-      int budget_remaining =
-          budgeted ? std::max(0, retry.query_retry_budget - retries_used_)
-                   : std::numeric_limits<int>::max();
+      Lane lane = ConcurrentLane(
+          key, 0xC2B2AE3D27D4EB4FULL * (++bind_probe_lane_seq_), wave_abs_ms,
+          RetryBudgetLeft());
       for (size_t pi = 0; pi < b.subplans.size(); ++pi) {
-        TaskOutcome o = RunScatterSubmit(
-            w, op.source, key, *b.subplans[pi], params_, retry,
-            lane.health.get(), &rng, &lane.clock_rel, wave_abs_ms,
-            &budget_remaining, /*max_attempts_override=*/0,
-            guard_on ? &b.guards[pi] : nullptr);
-        lane.retries += o.retries;
-        const bool failed = !o.status.ok();
-        lane.outcomes.push_back(std::move(o));
-        if (failed) {
-          lane.failed = static_cast<int>(pi);
+        wl.outcomes.push_back(RunAttempts(&lane, w, op.source, key,
+                                          *b.subplans[pi], MaxAttempts()));
+        if (!wl.outcomes.back().status.ok()) {
+          wl.failed = static_cast<int>(pi);
           break;  // the rest of this lane's keys are moot: the join aborts
         }
       }
+      wl.clock_ms = lane.clock_ms;
     }
 
     // ---- resolve the wave: earliest failure clips its siblings --------
@@ -1100,14 +1121,14 @@ Status MediatorExecutor::RunBindProbeWaves(
     int fatal_lane = -1;
     for (size_t li = 0; li < lanes.size(); ++li) {
       if (lanes[li].failed < 0) continue;
-      if (lanes[li].clock_rel < fatal_rel) {
-        fatal_rel = lanes[li].clock_rel;
+      if (lanes[li].clock_ms < fatal_rel) {
+        fatal_rel = lanes[li].clock_ms;
         fatal_lane = static_cast<int>(li);
       }
     }
     double span = 0;
-    for (const Lane& lane : lanes) {
-      span = std::max(span, std::min(lane.clock_rel, fatal_rel));
+    for (const WaveLane& wl : lanes) {
+      span = std::max(span, std::min(wl.clock_ms, fatal_rel));
     }
     // Deadline clipping: the wave stops charging at the budget and the
     // join aborts; work past the deadline (answers, health events) is
@@ -1122,106 +1143,48 @@ Status MediatorExecutor::RunBindProbeWaves(
     ChargeWait(span);
     scatter_charged_ms_ += span;
 
-    // Shared-registry replay in global timestamp order (stable on ties:
-    // lane order), clipped at the cancellation/deadline cut.
-    if (health_ != nullptr) {
-      struct Replay {
-        double at_rel;
-        HealthEvent::Kind kind;
-        int64_t rows;
-      };
-      std::vector<Replay> replays;
-      for (size_t li = 0; li < lanes.size(); ++li) {
-        double lane_cut = cut;
-        if (!deadline_hit && static_cast<int>(li) == fatal_lane) {
-          lane_cut = kInf;  // the fatal lane's own events all happened
-        }
-        for (const TaskOutcome& o : lanes[li].outcomes) {
-          for (const HealthEvent& ev : o.events) {
-            if (ev.at_rel_ms <= lane_cut) {
-              replays.push_back({ev.at_rel_ms, ev.kind, ev.rows});
-            }
-          }
-        }
-      }
-      std::stable_sort(replays.begin(), replays.end(),
-                       [](const Replay& a, const Replay& b) {
-                         return a.at_rel < b.at_rel;
-                       });
-      for (const Replay& r : replays) {
-        const double at = wave_abs_ms + r.at_rel;
-        switch (r.kind) {
-          case HealthEvent::kSuccess:
-            health_->RecordSuccess(key, at);
-            break;
-          case HealthEvent::kFailure:
-            health_->RecordFailure(key, at);
-            break;
-          case HealthEvent::kRejected:
-          case HealthEvent::kAllowed:
-            (void)health_->AllowSubmit(key, at);
-            break;
-          case HealthEvent::kMalformed:
-            health_->RecordMalformed(key, at, r.rows);
-            break;
-          case HealthEvent::kWellFormed:
-            health_->RecordWellFormed(key, at);
-            break;
-        }
+    // Shared-registry replay, clipped at the cancellation/deadline cut
+    // (the fatal lane's own events all happened), then the shared retry
+    // budget and counters (optimistic split, like scatter).
+    std::vector<std::pair<const SubmitOutcome*, double>> logs;
+    Tally tally;
+    for (size_t li = 0; li < lanes.size(); ++li) {
+      const double lane_cut =
+          !deadline_hit && static_cast<int>(li) == fatal_lane ? kInf : cut;
+      for (const SubmitOutcome& o : lanes[li].outcomes) {
+        logs.emplace_back(&o, lane_cut);
+        tally.Add(o);
+        ++tally.submits;
       }
     }
-
-    // Reconcile the shared retry budget (optimistic split, like scatter).
-    int64_t wave_submits = 0, wave_attempts = 0, wave_retries = 0;
-    int64_t wave_rejections = 0, wave_budget_exhaustions = 0;
-    for (Lane& lane : lanes) {
-      retries_used_ += lane.retries;
-      for (const TaskOutcome& o : lane.outcomes) {
-        ++wave_submits;
-        wave_attempts += o.attempts;
-        wave_retries += o.retries;
-        wave_rejections += o.rejections;
-        if (o.budget_exhausted) ++wave_budget_exhaustions;
-      }
-    }
+    ReplayHealth(logs, wave_abs_ms);
+    Reconcile(tally);
     BumpCounter("disco.exec.bindjoin.waves");
-    BumpCounter("disco.exec.submits", wave_submits);
-    BumpCounter("disco.exec.submit_attempts", wave_attempts);
-    if (wave_retries > 0) {
-      BumpCounter("disco.exec.submit_retries", wave_retries);
-    }
-    if (wave_rejections > 0) {
-      BumpCounter("disco.exec.breaker_rejections", wave_rejections);
-    }
-    if (wave_budget_exhaustions > 0) {
-      BumpCounter("disco.mediator.retry_budget.exhausted",
-                  wave_budget_exhaustions);
-    }
 
-    // ---- commit, lane order (deterministic for any pool size) ---------
+    // ---- commit, lane order --------------------------------------------
     Status fatal_status;
     ExecWarning fatal_warning;
     bool fatal_note = false;
     for (size_t li = 0; li < lanes.size(); ++li) {
-      Lane& lane = lanes[li];
-      Batch& b = all[wave_begin + li];
+      WaveLane& wl = lanes[li];
+      const Batch& b = all[wave_begin + li];
       if (trace_ != nullptr && static_cast<int>(li) >= lanes_named) {
         trace_->SetLaneName(lane_base + static_cast<int>(li),
                             "bindjoin @" + key);
         lanes_named = static_cast<int>(li) + 1;
       }
-      for (size_t pi = 0; pi < lane.outcomes.size(); ++pi) {
-        TaskOutcome& o = lane.outcomes[pi];
+      for (size_t pi = 0; pi < wl.outcomes.size(); ++pi) {
+        SubmitOutcome& o = wl.outcomes[pi];
         const bool is_fatal = static_cast<int>(li) == fatal_lane &&
-                              static_cast<int>(pi) == lane.failed;
+                              static_cast<int>(pi) == wl.failed;
         // A probe is committed only when it finished before the wave's
         // cut; later answers were cancelled/expired with the wave.
-        const bool committed = o.status.ok() && o.end_rel_ms <= cut;
+        const bool committed = o.status.ok() && o.end_ms <= cut;
         if (trace_ != nullptr) {
-          const double shown_end = std::min(o.end_rel_ms, cut);
+          const double shown_end = std::min(o.end_ms, cut);
           int sid = trace_->AddCompleteSpan(
               "probe @" + key, "bindjoin-probe",
-              wave_trace_ms + std::min(o.start_rel_ms, shown_end),
+              wave_trace_ms + std::min(o.start_ms, shown_end),
               wave_trace_ms + shown_end, lane_base + static_cast<int>(li));
           trace_->AddArg(sid, "batch",
                          static_cast<int64_t>(wave_begin + li));
@@ -1243,35 +1206,9 @@ Status MediatorExecutor::RunBindProbeWaves(
           }
         }
         if (committed) {
-          for (ExecWarning& wmsg : o.warnings) AddWarning(std::move(wmsg));
-          if (o.guard_checked) {
-            ApplyGuardReport(o.guard, key, o.attempts, BreakerStateNow(key),
-                             /*subplan_index=*/-1);
-          }
-          if (metrics_ != nullptr) {
-            metrics_->histogram("disco.submit.ms")
-                ->Record(o.end_rel_ms - o.start_rel_ms);
-            metrics_->histogram("disco.submit.rows")
-                ->Record(static_cast<double>(o.exec.tuples.size()));
-          }
-          if (profile_ != nullptr) {
-            profile_->Observe(key, o.end_rel_ms - o.start_rel_ms);
-          }
-          SubqueryRecord record;
-          record.source = op.source;
-          const Operator& subplan = *b.subplans[pi];
-          record.subplan = subplan.Clone();
-          record.source_ms = o.exec.total_ms;
-          record.attempts = o.attempts;
-          const auto n = static_cast<double>(o.exec.tuples.size());
-          record.measured = costmodel::CostVector::Full(
-              n, static_cast<double>(o.bytes),
-              n > 0 ? static_cast<double>(o.bytes) / n : 0,
-              o.exec.first_tuple_ms,
-              n > 1 ? (o.exec.total_ms - o.exec.first_tuple_ms) / (n - 1)
-                    : 0,
-              o.exec.total_ms);
-          subqueries_.push_back(std::move(record));
+          CommitAnswer(o, op.source, *b.subplans[pi], o.attempts,
+                       o.end_ms - o.start_ms, std::move(o.recoveries),
+                       nullptr);
           ++*probes;
 
           // Distribute the batch answer onto its keys. An IN probe's
@@ -1323,22 +1260,20 @@ Status MediatorExecutor::RunBindProbeWaves(
       return fatal_status;
     }
   }
-  (void)waves;
   return Status::OK();
 }
 
 void MediatorExecutor::ScatterGather(const Operator& plan) {
   const FederationOptions& fed = exec_options_.federation;
-  const RetryPolicy& retry = exec_options_.retry;
   const double kInf = std::numeric_limits<double>::infinity();
   std::vector<ScatterSubmit> submits =
       CollectScatterSubmits(plan, exec_options_.allow_partial);
   if (submits.empty()) return;
 
   // ---- group submits by wrapper, first-appearance order ---------------
-  // Submits to the same wrapper stay serial within one group (preserving
-  // the wrapper's internal call order and fault-injection RNG stream);
-  // distinct groups run concurrently.
+  // Each group is one concurrent lane: submits to the same wrapper stay
+  // serial within it (preserving the wrapper's internal call order and
+  // fault-injection RNG stream), distinct groups overlap.
   struct Group {
     std::string source;  ///< as written in the plan (for messages)
     std::string key;     ///< lower-cased wrapper key
@@ -1366,17 +1301,6 @@ void MediatorExecutor::ScatterGather(const Operator& plan) {
   }
   if (groups.empty()) return;
 
-  // Guard expectations are derived on the main thread (catalog access
-  // stays off the workers); the tasks only consume them.
-  const bool guard_on = exec_options_.guard_responses;
-  std::vector<GuardExpectation> slot_guard(guard_on ? submits.size() : 0);
-  if (guard_on && catalog_ != nullptr) {
-    for (size_t i = 0; i < submits.size(); ++i) {
-      if (group_of_slot[i] < 0) continue;
-      slot_guard[i] = MakeGuardExpectation(submits[i].op->child(0), *catalog_);
-    }
-  }
-
   const double scatter_abs_ms = Now();
   const double trace_start_ms = trace_ != nullptr ? trace_->now_ms() : 0;
   if (trace_ != nullptr) {
@@ -1388,87 +1312,50 @@ void MediatorExecutor::ScatterGather(const Operator& plan) {
     }
   }
 
-  // Private per-group breaker registries seeded from the shared one:
-  // tasks gate and record against their own copy, and the shared
-  // registry sees a deterministic timestamp-ordered replay at gather.
-  std::vector<std::unique_ptr<SourceHealthRegistry>> private_health(
-      groups.size());
-  if (health_ != nullptr) {
-    for (size_t g = 0; g < groups.size(); ++g) {
-      private_health[g] =
-          std::make_unique<SourceHealthRegistry>(health_->options());
-      private_health[g]->Adopt(groups[g].key, health_->Health(groups[g].key));
-    }
-  }
-
+  // ---- primary lanes ----------------------------------------------------
   // Optimistic budget split: each group sees the budget remaining at
   // scatter start; consumption is reconciled below.
-  const bool budgeted = retry.query_retry_budget > 0;
-  const int budget_at_start =
-      budgeted ? std::max(0, retry.query_retry_budget - retries_used_)
-               : std::numeric_limits<int>::max();
-
-  std::vector<TaskOutcome> outcomes(submits.size());
-  auto run_group = [&](int gi) {
-    Group& g = groups[static_cast<size_t>(gi)];
-    SourceHealthRegistry* ph = private_health[static_cast<size_t>(gi)].get();
-    // Per-group RNG: seeded from the jitter seed and the group's position
-    // so backoff jitter is deterministic for any pool size.
-    Rng rng(exec_options_.jitter_seed ^
-            (0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(gi + 1)));
-    double clock_rel = 0;
-    int budget_remaining = budget_at_start;
+  const int budget_at_start = RetryBudgetLeft();
+  std::vector<SubmitOutcome> outcomes(submits.size());
+  int phase_a_retries = 0;
+  for (size_t gi = 0; gi < groups.size(); ++gi) {
+    const Group& g = groups[gi];
+    Lane lane = ConcurrentLane(g.key, 0x9E3779B97F4A7C15ULL * (gi + 1),
+                               scatter_abs_ms, budget_at_start);
     for (size_t slot : g.slots) {
-      outcomes[slot] = RunScatterSubmit(
-          g.w, g.source, g.key, submits[slot].op->child(0), params_, retry,
-          ph, &rng, &clock_rel, scatter_abs_ms, &budget_remaining,
-          /*max_attempts_override=*/0,
-          guard_on ? &slot_guard[slot] : nullptr);
-    }
-  };
-  const bool concurrent = federation_pool_ != nullptr && fed.threads > 1 &&
-                          groups.size() > 1;
-  if (concurrent) {
-    federation_pool_->ParallelFor(static_cast<int>(groups.size()), run_group);
-  } else {
-    for (int gi = 0; gi < static_cast<int>(groups.size()); ++gi) {
-      run_group(gi);
+      outcomes[slot] = RunAttempts(&lane, g.w, g.source, g.key,
+                                   submits[slot].op->child(0), MaxAttempts());
+      phase_a_retries += outcomes[slot].retries;
     }
   }
 
-  int phase_a_retries = 0;
-  for (const TaskOutcome& o : outcomes) phase_a_retries += o.retries;
-
-  // ---- hedge decisions (main thread, subplan-index order) -------------
+  // ---- hedge decisions (subplan-index order) ----------------------------
   // A primary that ran longer than the adaptive threshold gets a backup
   // submit to a DeclareEquivalent replica; the earlier answer wins and
-  // the loser is cancelled. Decisions are taken here, deterministically,
-  // from the completed primary timeline.
+  // the loser is cancelled. Decisions are taken from the completed
+  // primary timeline.
   struct HedgeTask {
     size_t slot = 0;          ///< primary submit slot
     std::string source;       ///< replica source (lower-cased)
     wrapper::Wrapper* w = nullptr;
     std::unique_ptr<algebra::Operator> subplan;
-    GuardExpectation guard;        ///< derived from `subplan`
     double nominal_start_rel = 0;  ///< primary start + threshold
     double threshold_ms = 0;
   };
   std::vector<HedgeTask> hedges;
-  int hedge_budget = budgeted
-                         ? std::max(0, budget_at_start - phase_a_retries)
-                         : std::numeric_limits<int>::max();
+  int hedge_budget = budget_at_start - phase_a_retries;
   if (fed.hedge && profile_ != nullptr && catalog_ != nullptr) {
     for (size_t i = 0; i < submits.size(); ++i) {
       if (group_of_slot[i] < 0) continue;
       const Group& g = groups[static_cast<size_t>(group_of_slot[i])];
-      const TaskOutcome& prim = outcomes[i];
+      const SubmitOutcome& prim = outcomes[i];
       // Hard errors are about semantics, not latency: never hedge them.
       if (!prim.status.ok() && !prim.availability_failure) continue;
       if (profile_->count(g.key) < fed.hedge_min_samples) continue;
       const double threshold =
           std::max(profile_->QuantileMs(g.key), fed.hedge_min_ms);
       if (threshold <= 0) continue;
-      if (prim.end_rel_ms - prim.start_rel_ms <= threshold) continue;
+      if (prim.end_ms - prim.start_ms <= threshold) continue;
       if (hedge_budget <= 0) {
         BumpCounter("disco.mediator.retry_budget.exhausted");
         continue;  // hedges share the per-query retry budget
@@ -1491,17 +1378,17 @@ void MediatorExecutor::ScatterGather(const Operator& plan) {
       task.slot = i;
       task.source = hp.source;
       task.w = wrappers_.find(hp.source)->second;
-      if (guard_on) task.guard = MakeGuardExpectation(*hp.subplan, *catalog_);
       task.subplan = std::move(hp.subplan);
-      task.nominal_start_rel = prim.start_rel_ms + threshold;
+      task.nominal_start_rel = prim.start_ms + threshold;
       task.threshold_ms = threshold;
       hedges.push_back(std::move(task));
     }
   }
 
-  // ---- hedge phase: backup submits, grouped by replica wrapper --------
-  std::vector<TaskOutcome> hedge_outcomes(hedges.size());
+  // ---- hedge lanes: backup submits, one lane per replica wrapper --------
+  std::vector<SubmitOutcome> hedge_outcomes(hedges.size());
   std::vector<std::vector<size_t>> hedge_groups;
+  std::vector<int> hedge_lane(hedges.size());  ///< trace lane per hedge
   {
     std::map<std::string, size_t> hg_index;
     for (size_t h = 0; h < hedges.size(); ++h) {
@@ -1511,52 +1398,26 @@ void MediatorExecutor::ScatterGather(const Operator& plan) {
         hedge_groups.emplace_back();
       }
       hedge_groups[it->second].push_back(h);
+      hedge_lane[h] = 1 + static_cast<int>(groups.size() + it->second);
     }
   }
-  if (trace_ != nullptr) {
-    for (size_t hg = 0; hg < hedge_groups.size(); ++hg) {
-      trace_->SetLaneName(
-          1 + static_cast<int>(groups.size()) + static_cast<int>(hg),
-          "hedge @" + hedges[hedge_groups[hg][0]].source);
+  for (size_t hg = 0; hg < hedge_groups.size(); ++hg) {
+    const std::string& key = hedges[hedge_groups[hg][0]].source;
+    if (trace_ != nullptr) {
+      trace_->SetLaneName(1 + static_cast<int>(groups.size() + hg),
+                          "hedge @" + key);
     }
-  }
-  if (!hedges.empty()) {
-    std::vector<std::unique_ptr<SourceHealthRegistry>> hedge_health(
-        hedge_groups.size());
-    if (health_ != nullptr) {
-      for (size_t g = 0; g < hedge_groups.size(); ++g) {
-        const std::string& key = hedges[hedge_groups[g][0]].source;
-        hedge_health[g] =
-            std::make_unique<SourceHealthRegistry>(health_->options());
-        hedge_health[g]->Adopt(key, health_->Health(key));
-      }
-    }
-    auto run_hedge_group = [&](int gi) {
-      // Seed domain offset by the primary group count so hedge jitter
-      // never collides with a primary group's stream.
-      Rng rng(exec_options_.jitter_seed ^
-              (0x9E3779B97F4A7C15ULL *
-               static_cast<uint64_t>(groups.size() + 1 +
-                                     static_cast<size_t>(gi))));
-      double clock_rel = 0;
-      int unlimited = std::numeric_limits<int>::max();  // pre-paid at launch
-      for (size_t h : hedge_groups[static_cast<size_t>(gi)]) {
-        HedgeTask& t = hedges[h];
-        if (clock_rel < t.nominal_start_rel) clock_rel = t.nominal_start_rel;
-        hedge_outcomes[h] = RunScatterSubmit(
-            t.w, t.source, t.source, *t.subplan, params_, retry,
-            hedge_health[static_cast<size_t>(gi)].get(), &rng, &clock_rel,
-            scatter_abs_ms, &unlimited, /*max_attempts_override=*/1,
-            guard_on ? &t.guard : nullptr);
-      }
-    };
-    if (concurrent && hedge_groups.size() > 1) {
-      federation_pool_->ParallelFor(static_cast<int>(hedge_groups.size()),
-                                    run_hedge_group);
-    } else {
-      for (int gi = 0; gi < static_cast<int>(hedge_groups.size()); ++gi) {
-        run_hedge_group(gi);
-      }
+    // Seed domain offset by the primary group count so hedge jitter
+    // never collides with a primary group's stream. Hedges were paid
+    // for from the retry budget at launch.
+    Lane lane = ConcurrentLane(
+        key, 0x9E3779B97F4A7C15ULL * (groups.size() + 1 + hg),
+        scatter_abs_ms, std::numeric_limits<int>::max());
+    for (size_t h : hedge_groups[hg]) {
+      HedgeTask& t = hedges[h];
+      lane.clock_ms = std::max(lane.clock_ms, t.nominal_start_rel);
+      hedge_outcomes[h] = RunAttempts(&lane, t.w, t.source, t.source,
+                                      *t.subplan, /*max_attempts=*/1);
     }
   }
 
@@ -1575,12 +1436,10 @@ void MediatorExecutor::ScatterGather(const Operator& plan) {
   struct Eff {
     bool ran = false;
     Status status;
-    TaskOutcome* answer = nullptr;  ///< whose tuples to keep when ok
+    SubmitOutcome* answer = nullptr;  ///< whose tuples to keep when ok
     double start_rel = 0, end_rel = 0;
     int attempts = 0;
     double source_ms = 0;
-    int64_t bytes = 0;
-    std::string answer_key;  ///< source that produced the kept answer
     const algebra::Operator* record_plan = nullptr;  ///< for SubqueryRecord
     std::vector<ExecWarning> warnings;
     ExecWarning failure;
@@ -1599,34 +1458,32 @@ void MediatorExecutor::ScatterGather(const Operator& plan) {
   for (size_t i = 0; i < submits.size(); ++i) {
     if (group_of_slot[i] < 0) continue;
     const Group& g = groups[static_cast<size_t>(group_of_slot[i])];
-    TaskOutcome& prim = outcomes[i];
+    SubmitOutcome& prim = outcomes[i];
     Eff& e = eff[i];
     e.ran = true;
     e.status = prim.status;
     e.answer = &prim;
-    e.answer_key = g.key;
-    e.start_rel = prim.start_rel_ms;
-    e.end_rel = prim.end_rel_ms;
+    e.start_rel = prim.start_ms;
+    e.end_rel = prim.end_ms;
     e.attempts = prim.attempts;
-    e.bytes = prim.bytes;
     e.record_plan = &submits[i].op->child(0);
-    e.warnings = std::move(prim.warnings);
+    e.warnings = std::move(prim.recoveries);
     e.failure = prim.failure;
     e.note_failed = prim.availability_failure;
     if (prim.status.ok()) e.source_ms = prim.exec.total_ms;
 
     const int h = hedge_for_slot[i];
     if (h < 0) continue;
-    TaskOutcome& ho = hedge_outcomes[static_cast<size_t>(h)];
+    SubmitOutcome& ho = hedge_outcomes[static_cast<size_t>(h)];
     const HedgeTask& task = hedges[static_cast<size_t>(h)];
     const bool prim_ok = prim.status.ok();
     const bool hedge_ok = ho.status.ok();
-    if (prim_ok && (!hedge_ok || prim.end_rel_ms <= ho.end_rel_ms)) {
+    if (prim_ok && (!hedge_ok || prim.end_ms <= ho.end_ms)) {
       // Primary answered first: cancel the hedge if it is still in
       // flight (its late answer -- and health events -- are discarded).
-      if (ho.end_rel_ms > prim.end_rel_ms) {
+      if (ho.end_ms > prim.end_ms) {
         ++hedges_cancelled;
-        hedge_cut[i] = prim.end_rel_ms;
+        hedge_cut[i] = prim.end_ms;
       }
       e.warnings.push_back(ExecWarning{
           g.key,
@@ -1636,18 +1493,16 @@ void MediatorExecutor::ScatterGather(const Operator& plan) {
           0, ""});
     } else if (hedge_ok) {
       ++hedges_won;
-      if (!prim_ok || prim.end_rel_ms > ho.end_rel_ms) {
+      if (!prim_ok || prim.end_ms > ho.end_ms) {
         // The slower (or failed) primary is the cancelled loser.
         if (prim_ok) ++hedges_cancelled;
-        prim_cut[i] = std::min(prim_cut[i], ho.end_rel_ms);
+        prim_cut[i] = std::min(prim_cut[i], ho.end_ms);
       }
       e.hedge_won = true;
       e.status = Status::OK();
       e.answer = &ho;
-      e.answer_key = task.source;
-      e.end_rel = ho.end_rel_ms;
+      e.end_rel = ho.end_ms;
       e.attempts = prim.attempts + ho.attempts;
-      e.bytes = ho.bytes;
       e.source_ms = ho.exec.total_ms;
       e.record_plan = task.subplan.get();
       e.note_failed = false;
@@ -1656,13 +1511,13 @@ void MediatorExecutor::ScatterGather(const Operator& plan) {
           StringPrintf("hedged to replica '%s' after %.1f ms; replica "
                        "answered first (%.1f ms vs %.1f ms)",
                        task.source.c_str(), task.threshold_ms,
-                       ho.end_rel_ms - prim.start_rel_ms,
-                       prim.end_rel_ms - prim.start_rel_ms),
+                       ho.end_ms - prim.start_ms,
+                       prim.end_ms - prim.start_ms),
           0, ""});
     } else {
       // Both failed: the submit is over when the later of the two gave
       // up; the primary's failure is the one reported.
-      e.end_rel = std::max(prim.end_rel_ms, ho.end_rel_ms);
+      e.end_rel = std::max(prim.end_ms, ho.end_ms);
       e.warnings.push_back(ExecWarning{task.source,
                                        "hedge submit failed: " +
                                            ho.status.message(),
@@ -1741,10 +1596,10 @@ void MediatorExecutor::ScatterGather(const Operator& plan) {
     }
   }
 
-  // ---- commit: trace, metrics, history, precomputed outcomes ----------
-  // Satellite guarantee: everything below iterates submits in
-  // subplan-index order, so gathered warnings, spans, and subquery
-  // records come out in the same deterministic order for any pool size.
+  // ---- commit: timeline, trace, kept answers, precomputed outcomes -----
+  // Everything below iterates submits in subplan-index order, so
+  // gathered warnings, spans, subquery records and profile observations
+  // (hence later hedge thresholds) come out in a deterministic order.
   std::vector<size_t> order(submits.size());
   for (size_t i = 0; i < submits.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -1757,23 +1612,21 @@ void MediatorExecutor::ScatterGather(const Operator& plan) {
   }
 
   tracing::ScopedSpan scatter_span(trace_, "scatter", "federation");
-  int64_t scattered = 0, total_attempts = 0, total_retries = 0;
-  int64_t total_rejections = 0, failures = 0, budget_exhaustions = 0;
+  Tally tally;
+  std::vector<std::pair<const SubmitOutcome*, double>> logs;
+  int64_t failures = 0;
   for (size_t i : order) {
     if (group_of_slot[i] < 0) continue;
-    ++scattered;
     Eff& e = eff[i];
     const int gi = group_of_slot[i];
     const int h = hedge_for_slot[i];
-    const TaskOutcome& prim = outcomes[i];
-    total_attempts += prim.attempts;
-    total_retries += prim.retries;
-    total_rejections += prim.rejections;
-    if (prim.budget_exhausted) ++budget_exhaustions;
+    const SubmitOutcome& prim = outcomes[i];
+    tally.Add(prim);
+    ++tally.submits;
+    logs.emplace_back(&prim, prim_cut[i]);
     if (h >= 0) {
-      const TaskOutcome& ho = hedge_outcomes[static_cast<size_t>(h)];
-      total_attempts += ho.attempts;
-      total_rejections += ho.rejections;
+      tally.Add(hedge_outcomes[static_cast<size_t>(h)]);
+      logs.emplace_back(&hedge_outcomes[static_cast<size_t>(h)], hedge_cut[i]);
     }
     if (!e.status.ok() && e.note_failed) ++failures;
 
@@ -1787,27 +1640,26 @@ void MediatorExecutor::ScatterGather(const Operator& plan) {
                                                       : "error";
 
     // Lay the submit on the exported concurrent timeline (the input to
-    // critical-path analysis). Relative clock, subplan-index order --
-    // pool-size invariant like everything in this loop.
+    // critical-path analysis): relative clock, subplan-index order.
     {
       ScatterTimelineEvent tev;
       tev.subplan_index = submits[i].index;
       tev.source = groups[static_cast<size_t>(gi)].key;
       tev.lane = 1 + gi;
-      tev.start_rel = prim.start_rel_ms;
-      tev.end_rel = prim.end_rel_ms;
+      tev.start_rel = prim.start_ms;
+      tev.end_rel = prim.end_ms;
       tev.eff_start_rel = e.start_rel;
       tev.eff_end_rel = e.end_rel;
       tev.source_ms = e.source_ms;
       tev.attempts = e.attempts;
       tev.outcome = outcome;
       if (h >= 0) {
-        const TaskOutcome& ho = hedge_outcomes[static_cast<size_t>(h)];
+        const SubmitOutcome& ho = hedge_outcomes[static_cast<size_t>(h)];
         const HedgeTask& task = hedges[static_cast<size_t>(h)];
-        const double hedge_end = std::min(ho.end_rel_ms, hedge_cut[i]);
+        const double hedge_end = std::min(ho.end_ms, hedge_cut[i]);
         tev.hedge = true;
         tev.hedge_source = task.source;
-        tev.hedge_start_rel = std::min(ho.start_rel_ms, hedge_end);
+        tev.hedge_start_rel = std::min(ho.start_ms, hedge_end);
         tev.hedge_end_rel = hedge_end;
         tev.hedge_won = e.hedge_won;
       }
@@ -1829,94 +1681,47 @@ void MediatorExecutor::ScatterGather(const Operator& plan) {
         trace_->AddArg(sid, "source_ms", e.source_ms);
       }
       if (h >= 0) {
-        const TaskOutcome& ho = hedge_outcomes[static_cast<size_t>(h)];
+        const SubmitOutcome& ho = hedge_outcomes[static_cast<size_t>(h)];
         const HedgeTask& task = hedges[static_cast<size_t>(h)];
-        const double hedge_end =
-            std::min(ho.end_rel_ms, hedge_cut[i]);
+        const double hedge_end = std::min(ho.end_ms, hedge_cut[i]);
         int hid = trace_->AddCompleteSpan(
             "hedge @" + task.source, "hedge",
-            trace_start_ms + std::min(ho.start_rel_ms, hedge_end),
-            trace_start_ms + hedge_end,
-            /*lane=*/1 + static_cast<int>(groups.size()) +
-                [&] {
-                  for (size_t hg = 0; hg < hedge_groups.size(); ++hg) {
-                    for (size_t hh : hedge_groups[hg]) {
-                      if (hh == static_cast<size_t>(h)) {
-                        return static_cast<int>(hg);
-                      }
-                    }
-                  }
-                  return 0;
-                }());
+            trace_start_ms + std::min(ho.start_ms, hedge_end),
+            trace_start_ms + hedge_end, hedge_lane[static_cast<size_t>(h)]);
         trace_->AddArg(hid, "subplan_index", int64_t{submits[i].index});
         trace_->AddArg(hid, "threshold_ms", task.threshold_ms);
         trace_->AddArg(hid, "outcome",
                        e.hedge_won ? "won"
                                    : ho.status.ok()
                                          ? "lost"
-                                         : ho.end_rel_ms > hedge_cut[i]
+                                         : ho.end_ms > hedge_cut[i]
                                                ? "cancelled"
                                                : "failed");
       }
-    }
-
-    // Winners feed the latency profile, the per-submit histograms, and
-    // the history mechanism -- in subplan-index order, like everything
-    // here, so the profile-driven hedge thresholds stay deterministic.
-    if (e.status.ok() && e.answer != nullptr) {
-      TaskOutcome& win = *e.answer;
-      // Only the committed answer's guard report counts: a quarantine on
-      // a discarded hedge loser never reached the query and stays out of
-      // the per-query roll-up (its breaker effects replay below).
-      if (win.guard_checked) {
-        ApplyGuardReport(win.guard, e.answer_key, e.attempts,
-                         /*breaker=*/"", submits[i].index, &e.warnings);
-      }
-      if (metrics_ != nullptr) {
-        metrics_->histogram("disco.submit.ms")
-            ->Record(e.end_rel - e.start_rel);
-        metrics_->histogram("disco.submit.rows")
-            ->Record(static_cast<double>(win.exec.tuples.size()));
-      }
-      if (profile_ != nullptr) {
-        profile_->Observe(e.answer_key,
-                          win.end_rel_ms - win.start_rel_ms);
-      }
-      SubqueryRecord record;
-      record.source = e.answer_key;
-      record.subplan = e.record_plan->Clone();
-      record.source_ms = win.exec.total_ms;
-      record.attempts = e.attempts;
-      const auto n = static_cast<double>(win.exec.tuples.size());
-      record.measured = costmodel::CostVector::Full(
-          n, static_cast<double>(e.bytes),
-          n > 0 ? static_cast<double>(e.bytes) / n : 0,
-          win.exec.first_tuple_ms,
-          n > 1 ? (win.exec.total_ms - win.exec.first_tuple_ms) / (n - 1)
-                : 0,
-          win.exec.total_ms);
-      subqueries_.push_back(std::move(record));
     }
 
     PrecomputedSubmit pc;
     pc.status = e.status;
     pc.duration_ms = e.end_rel - e.start_rel;
     pc.source_ms = e.source_ms;
-    if (e.status.ok() && e.answer != nullptr) {
-      pc.first_tuple_ms = e.answer->exec.first_tuple_ms;
-    }
     pc.attempts = e.attempts;
     pc.note_failed_source = e.note_failed;
-    for (ExecWarning& w : e.warnings) {
+    if (e.status.ok() && e.answer != nullptr) {
+      SubmitOutcome& win = *e.answer;
+      CommitAnswer(win, win.key, *e.record_plan, e.attempts,
+                   e.end_rel - e.start_rel, std::move(e.warnings),
+                   &pc.warnings);
+      pc.first_tuple_ms = win.exec.first_tuple_ms;
+      pc.rel.columns = std::move(win.exec.columns);
+      pc.rel.tuples = std::move(win.exec.tuples);
+    } else {
+      pc.warnings = std::move(e.warnings);
+    }
+    for (ExecWarning& w : pc.warnings) {
       w.subplan_index = submits[i].index;
     }
-    pc.warnings = std::move(e.warnings);
     e.failure.subplan_index = submits[i].index;
     pc.failure = std::move(e.failure);
-    if (e.status.ok() && e.answer != nullptr) {
-      pc.rel.columns = std::move(e.answer->exec.columns);
-      pc.rel.tuples = std::move(e.answer->exec.tuples);
-    }
     precomputed_[submits[i].op] = std::move(pc);
   }
 
@@ -1929,86 +1734,19 @@ void MediatorExecutor::ScatterGather(const Operator& plan) {
   scatter_timeline_.charged_ms = total_rel;
   scatter_timeline_.deadline_ms = fed.deadline_ms > 0 ? fed.deadline_ms : 0;
 
-  // Replay health events into the shared registry in global timestamp
-  // order (stable on ties: subplan-index order), so breaker transitions
-  // and their listeners fire identically for any pool size.
-  if (health_ != nullptr) {
-    struct Replay {
-      double at_rel;
-      HealthEvent::Kind kind;
-      const std::string* key;
-      int64_t rows;
-    };
-    std::vector<Replay> replays;
-    for (size_t i : order) {
-      if (group_of_slot[i] < 0) continue;
-      const std::string& key =
-          groups[static_cast<size_t>(group_of_slot[i])].key;
-      for (const HealthEvent& ev : outcomes[i].events) {
-        if (ev.at_rel_ms <= prim_cut[i]) {
-          replays.push_back({ev.at_rel_ms, ev.kind, &key, ev.rows});
-        }
-      }
-      const int h = hedge_for_slot[i];
-      if (h >= 0) {
-        for (const HealthEvent& ev :
-             hedge_outcomes[static_cast<size_t>(h)].events) {
-          if (ev.at_rel_ms <= hedge_cut[i]) {
-            replays.push_back(
-                {ev.at_rel_ms, ev.kind,
-                 &hedges[static_cast<size_t>(h)].source, ev.rows});
-          }
-        }
-      }
-    }
-    std::stable_sort(replays.begin(), replays.end(),
-                     [](const Replay& a, const Replay& b) {
-                       return a.at_rel < b.at_rel;
-                     });
-    for (const Replay& r : replays) {
-      const double at = scatter_abs_ms + r.at_rel;
-      switch (r.kind) {
-        case HealthEvent::kSuccess:
-          health_->RecordSuccess(*r.key, at);
-          break;
-        case HealthEvent::kFailure:
-          health_->RecordFailure(*r.key, at);
-          break;
-        case HealthEvent::kRejected:
-        case HealthEvent::kAllowed:
-          (void)health_->AllowSubmit(*r.key, at);
-          break;
-        case HealthEvent::kMalformed:
-          health_->RecordMalformed(*r.key, at, r.rows);
-          break;
-        case HealthEvent::kWellFormed:
-          health_->RecordWellFormed(*r.key, at);
-          break;
-      }
-    }
-  }
-
-  // Reconcile the shared budget: phase-A retries plus one unit per
-  // launched hedge.
-  retries_used_ += phase_a_retries + static_cast<int>(hedges.size());
+  // Breaker transitions and their listeners fire in global timestamp
+  // order (ties: subplan-index order, primary before hedge); the retry
+  // budget takes the primaries' retries plus one unit per launched hedge.
+  ReplayHealth(logs, scatter_abs_ms);
+  tally.budget_units += static_cast<int>(hedges.size());
+  Reconcile(tally);
 
   // Metrics (see docs/OBSERVABILITY.md for the catalog).
   BumpCounter("disco.mediator.scatter.queries");
   BumpCounter("disco.mediator.scatter.groups",
               static_cast<int64_t>(groups.size()));
-  BumpCounter("disco.mediator.scatter.submits", scattered);
-  BumpCounter("disco.exec.submits", scattered);
-  BumpCounter("disco.exec.submit_attempts", total_attempts);
-  if (total_retries > 0) {
-    BumpCounter("disco.exec.submit_retries", total_retries);
-  }
-  if (total_rejections > 0) {
-    BumpCounter("disco.exec.breaker_rejections", total_rejections);
-  }
+  BumpCounter("disco.mediator.scatter.submits", tally.submits);
   if (failures > 0) BumpCounter("disco.exec.submit_failures", failures);
-  if (budget_exhaustions > 0) {
-    BumpCounter("disco.mediator.retry_budget.exhausted", budget_exhaustions);
-  }
   if (!hedges.empty()) {
     BumpCounter("disco.mediator.hedges.launched",
                 static_cast<int64_t>(hedges.size()));
@@ -2026,7 +1764,7 @@ void MediatorExecutor::ScatterGather(const Operator& plan) {
   }
 
   scatter_span.Arg("groups", static_cast<int64_t>(groups.size()));
-  scatter_span.Arg("submits", scattered);
+  scatter_span.Arg("submits", tally.submits);
   scatter_span.Arg("charged_ms", total_rel);
   if (!hedges.empty()) {
     scatter_span.Arg("hedges", static_cast<int64_t>(hedges.size()));

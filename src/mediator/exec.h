@@ -9,13 +9,24 @@
 // a union branch whose source stayed unavailable is dropped with a
 // structured warning instead of failing the query. Failures that would
 // change answer semantics (join inputs, bind-join probes) still abort.
+//
+// One submit engine (docs/PERFORMANCE.md) serves every path: the serial
+// submit, the scatter phase, its hedges and the bind-join probe waves all
+// run the same attempt loop on a *lane*. The serial lane charges the
+// executor's own clock step by step; a concurrent lane runs on a relative
+// clock against a private breaker registry, and the scatter or wave that
+// owns it charges its lanes max-not-sum, replays their health events in
+// timestamp order and commits the answers the query keeps. Lanes run one
+// after another on the calling thread.
 
 #ifndef DISCO_MEDIATOR_EXEC_H_
 #define DISCO_MEDIATOR_EXEC_H_
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algebra/operator.h"
@@ -23,9 +34,9 @@
 #include "common/metrics.h"
 #include "common/result.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "common/tracing.h"
 #include "costmodel/cost_vector.h"
+#include "costmodel/generic_model.h"
 #include "mediator/federation.h"
 #include "mediator/result_guard.h"
 #include "mediator/retry_policy.h"
@@ -35,14 +46,6 @@
 
 namespace disco {
 namespace mediator {
-
-/// Communication and mediator-CPU constants (mirrors the local-scope
-/// generic model; uniform communication per the paper's assumption).
-struct MediatorCostParams {
-  double ms_msg_latency = 50.0;
-  double ms_per_net_byte = 0.01;
-  double ms_med_cmp = 0.002;
-};
 
 /// Fault-tolerance knobs of the executor.
 struct ExecOptions {
@@ -74,9 +77,8 @@ struct ExecWarning {
   /// Circuit-breaker state of `source` at warning time ("" = unknown).
   std::string breaker;
   /// Pre-order index of the submit this warning belongs to (-1 = not
-  /// tied to a specific submit). Scatter-gather sorts gathered warnings
-  /// by this key so concurrent execution cannot reorder them; not part
-  /// of ToString().
+  /// tied to a specific submit). Set on warnings the scatter phase
+  /// gathered; not part of ToString().
   int subplan_index = -1;
 
   std::string ToString() const;
@@ -156,7 +158,7 @@ struct ScatterTimelineEvent {
 
 /// The whole scatter phase on its concurrent clock -- everything the
 /// critical-path analyzer needs to tile [0, charged_ms] exactly.
-/// Depends only on the plan's submit order, never on the pool size.
+/// Depends only on the plan's submit order.
 struct ScatterTimeline {
   double charged_ms = 0;   ///< the single max-not-sum ChargeWait
   double deadline_ms = 0;  ///< per-query deadline (0 = none)
@@ -167,14 +169,17 @@ struct ScatterTimeline {
 
 class MediatorExecutor {
  public:
-  /// `catalog` supplies collection schemas for bind-join probing; it may
-  /// be null if no plan contains bindjoin nodes. `health`, when given,
-  /// is consulted before each submit (circuit breaker) and fed every
-  /// submit outcome; `base_now_ms` anchors this execution on the
-  /// mediator's cumulative simulated clock so breaker cooldowns span
-  /// queries.
+  /// `params` supplies the communication and mediator-CPU constants
+  /// (message latency, per-byte shipping, mediator compare) -- the same
+  /// struct the cost model's rule text is rendered from. `catalog`
+  /// supplies collection schemas for bind-join probing; it may be null
+  /// if no plan contains bindjoin nodes. `health`, when given, is
+  /// consulted before each submit (circuit breaker) and fed every submit
+  /// outcome; `base_now_ms` anchors this execution on the mediator's
+  /// cumulative simulated clock so breaker cooldowns span queries.
   MediatorExecutor(std::map<std::string, wrapper::Wrapper*> wrappers,
-                   MediatorCostParams params, const Catalog* catalog = nullptr,
+                   costmodel::CalibrationParams params,
+                   const Catalog* catalog = nullptr,
                    ExecOptions exec_options = {},
                    SourceHealthRegistry* health = nullptr,
                    double base_now_ms = 0)
@@ -197,10 +202,6 @@ class MediatorExecutor {
   void set_node_measures(NodeMeasureMap* measures) {
     node_measures_ = measures;
   }
-  /// Pool the scatter phase fans source groups onto. Null (or
-  /// federation.threads == 1) runs the groups inline -- byte-identical
-  /// results either way (the determinism contract of common/thread_pool).
-  void set_federation_pool(ThreadPool* pool) { federation_pool_ = pool; }
   /// Per-source latency quantiles feeding the hedge threshold. Also fed
   /// by this executor with every successful submit's charged duration.
   void set_latency_profile(SubmitLatencyProfile* profile) {
@@ -274,30 +275,66 @@ class MediatorExecutor {
   /// bind_parallelism > 1): partitions the distinct outer keys into
   /// fixed-size batches, ships each batch as one IN-set probe (or
   /// per-key selects for wrappers without in_select), and runs
-  /// bind_parallelism batches per simulated-concurrent wave, the clock
-  /// charged max-not-sum per wave. All probes target one wrapper, which
-  /// is not thread-safe, so lanes execute serially in batch order --
-  /// concurrency is simulated, keeping results byte-identical for any
-  /// federation pool size. Fills `answers` (indexed like `keys`) and the
-  /// probe/batch counts. A probe failure or deadline expiry aborts the
-  /// whole bind join -- never a partial join.
+  /// bind_parallelism batches per simulated-concurrent wave, one
+  /// concurrent lane per batch, the clock charged max-not-sum per wave.
+  /// Fills `answers` (indexed like `keys`) and the probe/batch counts. A
+  /// probe failure or deadline expiry aborts the whole bind join --
+  /// never a partial join.
   Status RunBindProbeWaves(const algebra::Operator& op, wrapper::Wrapper* w,
                            const std::vector<Value>& keys,
                            std::vector<std::vector<storage::Tuple>>* answers,
                            int64_t* probes, int64_t* batches);
-  /// Breaker gate + retry loop + communication charging + health
-  /// reporting + subquery record for one submitted subplan.
+  /// One submit on the serial lane: the attempt loop on the executor's
+  /// own clock, registry and RNG, plus the submit span and failure
+  /// bookkeeping.
   Result<sources::ExecutionResult> SubmitToSource(
       const std::string& source, const algebra::Operator& subplan);
-  /// Folds one guard report into the per-query roll-up, bumps the
-  /// disco.guard.* counters, and surfaces a quarantine warning when the
-  /// report found anything. The warning goes to `warning_sink` when
-  /// given (scatter commit: surfaced later in subplan-index order),
-  /// else straight to warnings_.
-  void ApplyGuardReport(const GuardReport& report,
-                        const std::string& source_lower, int attempts,
-                        const std::string& breaker, int subplan_index,
-                        std::vector<ExecWarning>* warning_sink = nullptr);
+
+  // ---- the submit engine (exec.cc) -------------------------------------
+  /// Where an attempt loop runs: the serial lane or a concurrent one.
+  struct Lane;
+  /// Everything one attempt loop produced for one subplan.
+  struct SubmitOutcome;
+  /// Submit counters and retry-budget units of finished outcomes.
+  struct Tally;
+  /// The attempt loop: breaker gate, the wrapper call, attempt timeout,
+  /// backoff, the per-query retry budget, the guard verdict and the
+  /// health events, all on `lane`. `source` is the name messages quote;
+  /// `key` its lower-cased wrapper key.
+  SubmitOutcome RunAttempts(Lane* lane, wrapper::Wrapper* w,
+                            const std::string& source, const std::string& key,
+                            const algebra::Operator& subplan,
+                            int max_attempts);
+  /// A concurrent lane at `epoch_abs_ms` on the mediator's clock: private
+  /// breaker registry seeded from the shared one for `key`, backoff RNG
+  /// stream `jitter_seed ^ stream`, and `budget` retry units.
+  Lane ConcurrentLane(const std::string& key, uint64_t stream,
+                      double epoch_abs_ms, int budget) const;
+  /// The commit step for an answer the query keeps: guard roll-up and
+  /// quarantine warning, subquery record, latency profile,
+  /// disco.submit.* histograms, then `notes` (recovery and hedge
+  /// warnings). `response_ms` is what the query waited for the answer.
+  /// Warnings go to `sink` when given, else straight to warnings_.
+  void CommitAnswer(const SubmitOutcome& o, const std::string& record_source,
+                    const algebra::Operator& subplan, int attempts,
+                    double response_ms, std::vector<ExecWarning> notes,
+                    std::vector<ExecWarning>* sink);
+  /// Replays concurrent lanes' health events into the shared registry in
+  /// global timestamp order (stable on ties: `logs` order). Each log is
+  /// an outcome and the lane time past which its events never happened
+  /// (cancellation, deadline).
+  void ReplayHealth(
+      const std::vector<std::pair<const SubmitOutcome*, double>>& logs,
+      double epoch_abs_ms);
+  /// Folds a tally into the submit counters and the per-query retry
+  /// budget.
+  void Reconcile(const Tally& tally);
+  /// Retry units the per-query budget has left (INT_MAX = unlimited).
+  int RetryBudgetLeft() const;
+  int MaxAttempts() const {
+    return std::max(1, exec_options_.retry.max_attempts);
+  }
+
   Result<wrapper::Wrapper*> WrapperFor(const std::string& source) const;
   /// The scatter phase: runs every statically-known submit concurrently
   /// (grouped by wrapper, serial within a group), applies hedging,
@@ -328,20 +365,17 @@ class MediatorExecutor {
   std::string BreakerStateNow(const std::string& source_lower) const;
   void BumpCounter(const char* name, int64_t delta = 1);
 
-  /// Approximate wire size of a tuple in bytes.
-  static int64_t TupleBytes(const storage::Tuple& t);
-
   std::map<std::string, wrapper::Wrapper*> wrappers_;
-  MediatorCostParams params_;
+  costmodel::CalibrationParams params_;
   const Catalog* catalog_ = nullptr;
   ExecOptions exec_options_;
   SourceHealthRegistry* health_ = nullptr;
   double base_now_ms_ = 0;
+  /// The serial lane's backoff RNG, re-seeded per Execute().
   Rng rng_;
   tracing::Trace* trace_ = nullptr;
   metrics::Registry* metrics_ = nullptr;
   NodeMeasureMap* node_measures_ = nullptr;
-  ThreadPool* federation_pool_ = nullptr;
   SubmitLatencyProfile* profile_ = nullptr;
   double elapsed_ms_ = 0;
   double cpu_ms_ = 0;

@@ -3,18 +3,20 @@
 // The paper's mediator submits independent subqueries serially, so the
 // simulated clock charges their latencies as a *sum*. This module holds
 // the knobs and helpers of the concurrent federation layer: independent
-// kSubmit subplans of one query scatter onto a common/thread_pool and
-// gather under a per-query deadline, with the clock charged max-not-sum
-// for overlapping submits. On top of the scatter path ride hedged
-// requests (a backup submit to a DeclareEquivalent replica once the
-// primary exceeds an adaptive latency percentile), cancellation
-// propagation (a fatal sibling failure or an expired deadline aborts
-// in-flight submits), and a shared per-query retry budget.
+// kSubmit subplans of one query scatter onto concurrent lanes of the
+// submit engine (mediator/exec.h) and gather under a per-query deadline,
+// with the clock charged max-not-sum for overlapping submits. On top of
+// the scatter path ride hedged requests (a backup submit to a
+// DeclareEquivalent replica once the primary exceeds an adaptive latency
+// percentile), cancellation propagation (a fatal sibling failure or an
+// expired deadline aborts in-flight submits), and a shared per-query
+// retry budget.
 //
-// Everything is driven by the simulated clock and seeded RNGs: for a
-// fixed configuration the answer, warnings, metrics, and trace are
-// byte-identical for ANY federation pool size -- concurrency changes
-// wall time, never results.
+// The concurrency is simulated: lanes run one after another on the
+// calling thread, each on its own relative clock, and everything is
+// driven by the simulated clock and seeded RNGs, so a fixed
+// configuration yields byte-identical answers, warnings, metrics and
+// traces on every run.
 
 #ifndef DISCO_MEDIATOR_FEDERATION_H_
 #define DISCO_MEDIATOR_FEDERATION_H_
@@ -37,10 +39,10 @@ namespace mediator {
 /// when any knob departs from its default; with all defaults the
 /// executor keeps the original serial submit loop, byte-for-byte.
 struct FederationOptions {
-  /// Source groups scattered concurrently. 1 still runs the scatter
-  /// machinery inline when another knob is active (deadline, hedging),
-  /// producing results identical to any larger pool.
-  int threads = 1;
+  /// Scatter the plan's statically-known submits: one concurrent lane
+  /// per source group, charged max-not-sum. The deadline and hedging
+  /// knobs turn the scatter path on by themselves.
+  bool scatter = false;
   /// Per-query budget (simulated ms, measured from execution start) for
   /// the scatter phase. Submits still in flight when it expires are
   /// abandoned; under allow_partial a union absorbs the loss as a
@@ -65,8 +67,8 @@ struct FederationOptions {
   int bind_batch_size = 1;
   /// Bind-join probe waves: batches issued per simulated-concurrent
   /// wave. The clock charges max-not-sum per wave; results are merged in
-  /// outer-tuple order, so any value yields identical tuples for any
-  /// federation pool size. 1 = batches run back to back.
+  /// outer-tuple order, so any value yields the same tuples. 1 = batches
+  /// run back to back.
   int bind_parallelism = 1;
 
   /// Does any knob require the scatter-gather path? The bind-join
@@ -74,7 +76,7 @@ struct FederationOptions {
   /// EvalBindJoin and must not drag static submits onto the scatter
   /// path (with all other knobs default the serial submit loop must
   /// stay byte-identical).
-  bool active() const { return threads > 1 || deadline_ms > 0 || hedge; }
+  bool active() const { return scatter || deadline_ms > 0 || hedge; }
 };
 
 /// Streaming per-source submit-latency quantiles (P^2 sketches from

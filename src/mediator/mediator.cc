@@ -34,10 +34,6 @@ Mediator::Mediator(MediatorOptions options)
                          ? std::make_unique<ThreadPool>(
                                options_.planning_threads)
                          : nullptr),
-      federation_pool_(options_.fault_tolerance.federation.threads > 1
-                           ? std::make_unique<ThreadPool>(
-                                 options_.fault_tolerance.federation.threads)
-                           : nullptr),
       latency_profile_(options_.fault_tolerance.federation.hedge_quantile),
       plan_cache_(options_.plan_cache_capacity) {
   // The cost model prices bind joins the way the executor will run
@@ -566,12 +562,11 @@ Result<QueryResult> Mediator::ExecuteInternal(
   if (options_.profile_execution && node_measures == nullptr) {
     node_measures = &profile_measures;
   }
-  MediatorExecutor exec(std::move(by_name), options_.exec, &catalog_,
+  MediatorExecutor exec(std::move(by_name), options_.calibration, &catalog_,
                         options_.fault_tolerance, &health_, sim_now_ms_);
   exec.set_trace(trace);
   exec.set_metrics(&metrics_);
   exec.set_node_measures(node_measures);
-  exec.set_federation_pool(federation_pool_.get());
   exec.set_latency_profile(&latency_profile_);
   // Breaker transitions and drift breaches land as instant events on
   // the active trace; drift fires from the feedback loop below, so the
@@ -674,7 +669,7 @@ Result<QueryResult> Mediator::ExecuteInternal(
     profiles_.Record(*profile);
     if (options_.critical_path_analysis) {
       // Critical path + ranked what-ifs: segment durations sum to
-      // measured_ms exactly, byte-identical across pool sizes (like the
+      // measured_ms exactly, byte-identical across runs (like the
       // profile it derives from).
       const ScatterTimeline& timeline = exec.scatter_timeline();
       auto path = std::make_shared<CriticalPath>(
@@ -716,7 +711,7 @@ MonitorSnapshot Mediator::MonitorReport(int top_k) const {
   snap.retry_max_attempts = options_.fault_tolerance.retry.max_attempts;
 
   const FederationOptions& fed = options_.fault_tolerance.federation;
-  snap.federation_threads = fed.threads;
+  snap.scatter = fed.scatter;
   snap.deadline_ms = fed.deadline_ms;
   snap.hedging = fed.hedge;
   snap.query_retry_budget = options_.fault_tolerance.retry.query_retry_budget;

@@ -46,8 +46,9 @@ namespace disco {
 namespace mediator {
 
 struct MediatorOptions {
+  /// Cost-model calibration; the executor charges message latency,
+  /// per-byte shipping and mediator compares from the same constants.
   costmodel::CalibrationParams calibration;
-  MediatorCostParams exec;
   optimizer::OptimizerOptions optimizer;
   /// Record measured subquery costs as query-scope rules + adjustment
   /// factors (§4.3.1).
@@ -72,13 +73,13 @@ struct MediatorOptions {
   size_t query_log_capacity = 256;
   /// Collect a per-query operator profile (QueryResult::profile) and
   /// aggregate it in the process-wide ProfileRegistry. Simulated-clock
-  /// driven like traces, so profiles are byte-identical across runs and
-  /// federation pool sizes (docs/OBSERVABILITY.md).
+  /// driven like traces, so profiles are byte-identical across runs
+  /// (docs/OBSERVABILITY.md).
   bool profile_execution = true;
   /// Extract the per-query critical path (QueryResult::critical_path)
   /// from the profile + scatter timeline, rank what-if scenarios, and
   /// aggregate blame shares in the CriticalPathRegistry. Requires
-  /// profile_execution; byte-identical across pool sizes like profiles
+  /// profile_execution; byte-identical across runs like profiles
   /// (docs/OBSERVABILITY.md, "Critical-path analysis").
   bool critical_path_analysis = true;
   /// Fast planning path (docs/PERFORMANCE.md): parameterized plan cache
@@ -90,7 +91,7 @@ struct MediatorOptions {
   /// byte-identical across pool sizes.
   int planning_threads = 1;
   // Scatter-gather federation (docs/ROBUSTNESS.md) is configured via
-  // fault_tolerance.federation: threads, per-query deadline, hedging.
+  // fault_tolerance.federation: scatter, per-query deadline, hedging.
 };
 
 struct QueryResult {
@@ -280,9 +281,6 @@ class Mediator {
   /// warm the memo -- a cache, not observable state.
   mutable costmodel::CostMemo cost_memo_;
   std::unique_ptr<ThreadPool> planning_pool_;
-  /// Scatter-gather pool (docs/ROBUSTNESS.md); null when
-  /// fault_tolerance.federation.threads == 1 (groups run inline).
-  std::unique_ptr<ThreadPool> federation_pool_;
   /// Per-source submit-latency quantile sketches driving hedge
   /// thresholds; fed by every successful submit across queries.
   SubmitLatencyProfile latency_profile_;

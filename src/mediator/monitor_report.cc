@@ -19,8 +19,8 @@ std::string MonitorSnapshot::ToText() const {
       static_cast<long long>(submit_failures),
       static_cast<long long>(breaker_rejections), retry_max_attempts);
   out += StringPrintf(
-      "federation: %d thread%s, deadline %s, hedging %s, retry budget %s\n",
-      federation_threads, federation_threads == 1 ? "" : "s",
+      "federation: scatter %s, deadline %s, hedging %s, retry budget %s\n",
+      scatter ? "on" : "off",
       deadline_ms > 0 ? StringPrintf("%.1f ms", deadline_ms).c_str() : "off",
       hedging ? "on" : "off",
       query_retry_budget > 0
@@ -165,7 +165,7 @@ std::string MonitorSnapshot::ToJson() const {
       "\"replans\":%lld,\"explain_analyzes\":%lld,"
       "\"submits\":%lld,\"submit_retries\":%lld,\"submit_failures\":%lld,"
       "\"breaker_rejections\":%lld,\"retry_max_attempts\":%d,"
-      "\"federation\":{\"threads\":%d,\"deadline_ms\":%.3f,"
+      "\"federation\":{\"scatter\":%s,\"deadline_ms\":%.3f,"
       "\"hedging\":%s,\"query_retry_budget\":%d,"
       "\"scatter_queries\":%lld,\"scatter_submits\":%lld,"
       "\"hedges_launched\":%lld,\"hedges_won\":%lld,"
@@ -185,7 +185,7 @@ std::string MonitorSnapshot::ToJson() const {
       static_cast<long long>(submits), static_cast<long long>(submit_retries),
       static_cast<long long>(submit_failures),
       static_cast<long long>(breaker_rejections), retry_max_attempts,
-      federation_threads, deadline_ms, hedging ? "true" : "false",
+      scatter ? "true" : "false", deadline_ms, hedging ? "true" : "false",
       query_retry_budget, static_cast<long long>(scatter_queries),
       static_cast<long long>(scatter_submits),
       static_cast<long long>(hedges_launched),

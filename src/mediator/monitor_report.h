@@ -100,7 +100,7 @@ struct MonitorSnapshot {
   int64_t breaker_rejections = 0;
 
   // Scatter-gather federation (docs/ROBUSTNESS.md).
-  int federation_threads = 1;   ///< configured scatter pool size
+  bool scatter = false;         ///< scatter knob set
   double deadline_ms = 0;       ///< configured per-query deadline (0 = off)
   bool hedging = false;         ///< hedged requests enabled
   int query_retry_budget = 0;   ///< per-query retry budget (0 = unlimited)

@@ -11,7 +11,7 @@
 // operators" and "worst waterfall drops" panels.
 //
 // Everything is driven by the simulated clock, so profiles are
-// byte-identical run to run and across federation pool sizes.
+// byte-identical run to run.
 
 #ifndef DISCO_MEDIATOR_PROFILER_H_
 #define DISCO_MEDIATOR_PROFILER_H_

@@ -13,10 +13,10 @@
 // feeds `SourceHealthRegistry::RecordMalformed`, which opens the
 // breaker with the distinct "lying source" flag (source_health.h).
 //
-// Validation happens on deterministic paths only -- the serial submit
-// loop, and the scatter gather/commit loop in subplan-index order -- so
-// quarantine decisions, warnings, and `disco.guard.*` metrics are
-// byte-identical for any federation pool size.
+// Validation happens inside the submit engine's attempt loop
+// (mediator/exec.h) on every path, and only committed answers count, in
+// a deterministic order -- so quarantine decisions, warnings, and
+// `disco.guard.*` metrics are byte-identical across runs.
 //
 // Checks, per subanswer:
 //   * arity     -- every row has exactly the expected column count;

@@ -132,11 +132,11 @@ class SourceHealthRegistry {
   void Reset(const std::string& source);
 
   /// Installs `health` as the state of `source` verbatim (no listener
-  /// notification). Scatter-gather execution seeds a private, per-task
-  /// registry from a snapshot of the shared one with this, gates the
-  /// task's submits against the private copy, and replays the recorded
-  /// outcomes into the shared registry at gather time -- so breaker
-  /// behaviour stays deterministic for any federation pool size.
+  /// notification). A concurrent submit lane (mediator/exec.h) seeds a
+  /// private registry from a snapshot of the shared one with this,
+  /// gates the lane's submits against the private copy, and its owner
+  /// replays the recorded outcomes into the shared registry in
+  /// timestamp order at gather time.
   void Adopt(const std::string& source, const SourceHealth& health);
 
   const SourceHealthOptions& options() const { return options_; }

@@ -19,8 +19,8 @@
 // The schedule clock advances only at query boundaries: the harness
 // calls `AdvanceTo(mediator.sim_now_ms())` before each query, so the
 // fault state is constant *within* a query no matter how the scatter
-// phase interleaves tasks -- the determinism contract (byte-identical
-// results for any federation pool size) survives chaos injection.
+// phase lays out its lanes -- the determinism contract (byte-identical
+// reruns) survives chaos injection.
 // Malformed-response corruption draws from an Rng freshly seeded per
 // (schedule seed, wrapper name, call index), so it too replays
 // bit-for-bit.
@@ -106,8 +106,8 @@ class FaultSchedule {
   }
 
   /// Moves the schedule clock. Call at query boundaries only: fault
-  /// state must stay constant within a query for pool-size
-  /// byte-identity to hold.
+  /// state must stay constant within a query, whose concurrent lanes
+  /// run one after another yet stand for the same moments.
   void AdvanceTo(double now_ms) { now_ms_ = now_ms; }
   double now_ms() const { return now_ms_; }
 

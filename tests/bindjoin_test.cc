@@ -100,7 +100,7 @@ TEST_F(BindJoinTest, ExecutorCachesDuplicateKeys) {
   // All probed keys equal: only one probe subquery should be issued.
   mediator::MediatorExecutor exec(
       {{"img", med_->wrapper("img")}, {"meta", med_->wrapper("meta")}},
-      mediator::MediatorCostParams{}, &med_->catalog());
+      costmodel::CalibrationParams{}, &med_->catalog());
   auto everything = BindJoin(
       Submit("meta", Select(Scan("Meta"), "photoId", CmpOp::kEq,
                             Value(int64_t{500}))),

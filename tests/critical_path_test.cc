@@ -1,7 +1,7 @@
 // Critical-path analysis and what-if latency modeling
 // (docs/OBSERVABILITY.md): the exact-tiling identity against the
-// query's measured time, byte-identical paths across federation pool
-// sizes, what-if predictions validated against actual re-runs with
+// query's measured time, byte-identical paths across reruns, what-if
+// predictions validated against actual re-runs with
 // rescaled fault profiles, and the registry / MonitorReport / trace /
 // query-log / metrics surfaces.
 
@@ -113,20 +113,20 @@ std::unique_ptr<Mediator> MakeSimpleMediator(MediatorOptions opts = {}) {
 // time exactly, serial and scattered alike, and the scatter-side
 // segments tile exactly the max-not-sum charge. ---
 TEST(CriticalPathTest, SegmentsSumToMeasured) {
-  for (int threads : {0, 4}) {
+  for (bool scatter : {false, true}) {
     FederationOptions fed;
-    fed.threads = threads;
-    if (threads > 0) fed.deadline_ms = 1e9;
+    fed.scatter = scatter;
+    if (scatter) fed.deadline_ms = 1e9;
     PathSnapshot snap = RunFourSource(fed);
-    ASSERT_TRUE(snap.ok) << "threads=" << threads;
-    ASSERT_NE(snap.path, nullptr) << "threads=" << threads;
+    ASSERT_TRUE(snap.ok) << "scatter=" << scatter;
+    ASSERT_NE(snap.path, nullptr) << "scatter=" << scatter;
     const CriticalPath& p = *snap.path;
     EXPECT_EQ(p.measured_ms, snap.measured_ms);
-    EXPECT_NEAR(p.total_ms(), p.measured_ms, 1e-6) << "threads=" << threads;
+    EXPECT_NEAR(p.total_ms(), p.measured_ms, 1e-6) << "scatter=" << scatter;
     const double scatter_side = p.kind_ms("scatter-wait") +
                                 p.kind_ms("hedge-wait") + p.kind_ms("stall");
-    EXPECT_NEAR(scatter_side, p.scatter_ms, 1e-6) << "threads=" << threads;
-    if (threads == 0) {
+    EXPECT_NEAR(scatter_side, p.scatter_ms, 1e-6) << "scatter=" << scatter;
+    if (!scatter) {
       EXPECT_EQ(p.scatter_ms, 0.0);
     } else {
       // The slowest lane (a's retries) bounds the concurrent phase.
@@ -140,32 +140,28 @@ TEST(CriticalPathTest, SegmentsSumToMeasured) {
 }
 
 // --- The acceptance bar: same seed => byte-identical critical path
-// (text and JSON renderings) at federation pool sizes 0 / 1 / 4. ---
+// (text and JSON renderings) across two scatter-path runs. ---
 TEST(CriticalPathTest, ByteIdenticalAcrossPoolSizes) {
-  PathSnapshot base;
-  for (int threads : {0, 1, 4}) {
-    FederationOptions fed;
-    fed.threads = threads;
-    fed.deadline_ms = 1e9;  // never expires; keeps the scatter path on
-    PathSnapshot snap = RunFourSource(fed);
-    ASSERT_TRUE(snap.ok) << "threads=" << threads;
-    ASSERT_NE(snap.path, nullptr) << "threads=" << threads;
-    ASSERT_FALSE(snap.text.empty());
-    if (threads == 0) {
-      base = std::move(snap);
-      continue;
-    }
-    EXPECT_EQ(snap.measured_ms, base.measured_ms) << "threads=" << threads;
-    EXPECT_EQ(snap.text, base.text) << "threads=" << threads;
-    EXPECT_EQ(snap.json, base.json) << "threads=" << threads;
-  }
+  FederationOptions fed;
+  fed.scatter = true;
+  fed.deadline_ms = 1e9;  // never expires
+  PathSnapshot base = RunFourSource(fed);
+  PathSnapshot snap = RunFourSource(fed);
+  ASSERT_TRUE(base.ok);
+  ASSERT_TRUE(snap.ok);
+  ASSERT_NE(base.path, nullptr);
+  ASSERT_NE(snap.path, nullptr);
+  ASSERT_FALSE(base.text.empty());
+  EXPECT_EQ(snap.measured_ms, base.measured_ms);
+  EXPECT_EQ(snap.text, base.text);
+  EXPECT_EQ(snap.json, base.json);
 }
 
 // The what-if model's identity re-solve reproduces the actual schedule:
 // every ranked scenario's baseline equals the measured time.
 TEST(CriticalPathTest, WhatIfBaselineReproducesMeasured) {
   FederationOptions fed;
-  fed.threads = 4;
+  fed.scatter = true;
   fed.deadline_ms = 1e9;
   PathSnapshot snap = RunFourSource(fed);
   ASSERT_TRUE(snap.ok);
@@ -184,7 +180,7 @@ double RunFastSlowUnion(double slow_mean_ms,
                         std::shared_ptr<const CriticalPath>* path_out) {
   MediatorOptions opts;
   opts.fault_tolerance.allow_partial = true;
-  opts.fault_tolerance.federation.threads = 2;
+  opts.fault_tolerance.federation.scatter = true;
   opts.fault_tolerance.federation.deadline_ms = 1e9;
   Mediator med(opts);
   EXPECT_TRUE(
@@ -379,7 +375,7 @@ TEST(CriticalPathTest, QueryLogCarriesCritpathRollup) {
 
 TEST(CriticalPathTest, TraceSpansGainCriticalArgs) {
   FederationOptions fed;
-  fed.threads = 4;
+  fed.scatter = true;
   fed.deadline_ms = 1e9;
   auto med = MakeFourSourceMediator(fed);
   auto plan = FourWayUnion();
@@ -408,7 +404,7 @@ TEST(CriticalPathTest, MetricsFamilyPreRegisteredAndBumped) {
 
 TEST(CriticalPathTest, PathJsonParsesCleanly) {
   FederationOptions fed;
-  fed.threads = 4;
+  fed.scatter = true;
   fed.deadline_ms = 1e9;
   PathSnapshot snap = RunFourSource(fed);
   ASSERT_TRUE(snap.ok);

@@ -148,7 +148,7 @@ TEST(FailureInjectionTest, MidPlanFailureAbortsExecution) {
   // charged the first (successful) submit. Re-run through a bare
   // executor, where elapsed_ms() stays observable after the error.
   FaultyWrapper faulty(FaultyWrapper::Mode::kExecuteAfterN, 1);
-  mediator::MediatorCostParams params;
+  costmodel::CalibrationParams params;
   mediator::MediatorExecutor exec({{"faulty", &faulty}}, params);
   auto r2 = exec.Execute(*plan);
   ASSERT_TRUE(r2.status().IsUnavailable()) << r2.status().ToString();

@@ -65,7 +65,7 @@ TEST(FaultToleranceTest, PartialUnionDropsDeadBranchWithWarning) {
       << r->warnings[0].ToString();
   // The failed attempts were not free: two round trips plus a backoff
   // are charged on top of whatever the good branch cost.
-  EXPECT_GT(r->measured_ms, 2 * opts.exec.ms_msg_latency);
+  EXPECT_GT(r->measured_ms, 2 * opts.calibration.ms_msg_latency);
 }
 
 TEST(FaultToleranceTest, PartialModeNeverDropsJoinInputs) {

@@ -1,6 +1,6 @@
 // Deadline-aware scatter-gather federation (docs/ROBUSTNESS.md):
-// concurrent submits charged max-not-sum with byte-identical results
-// for any pool size, hedged requests against declared-equivalent
+// concurrent submits charged max-not-sum with byte-identical reruns,
+// hedged requests against declared-equivalent
 // replicas, cancellation propagation, deadline-expiry degradation, and
 // the per-query retry budget shared between retries and hedges.
 
@@ -13,6 +13,7 @@
 #include "mediator/mediator.h"
 #include "optimizer/join_enum.h"
 #include "wrapper/fault_injection.h"
+#include "wrapper/fault_schedule.h"
 
 namespace disco {
 namespace {
@@ -104,7 +105,7 @@ RunSnapshot RunFourSource(const FederationOptions& fed) {
 TEST(FederationTest, ScatterMatchesSerialTuplesAndWarnings) {
   RunSnapshot serial = RunFourSource(FederationOptions{});  // inactive
   FederationOptions fed;
-  fed.threads = 4;
+  fed.scatter = true;
   RunSnapshot scatter = RunFourSource(fed);
 
   ASSERT_TRUE(serial.ok);
@@ -121,26 +122,21 @@ TEST(FederationTest, ScatterMatchesSerialTuplesAndWarnings) {
 }
 
 TEST(FederationTest, ByteIdenticalAcrossPoolSizes) {
-  // threads=1 runs the scatter machinery inline (activated here by the
-  // deadline knob); 2/4/8 fan source groups onto a real pool. Results,
-  // warnings, the simulated clock, and every trace byte must match.
-  RunSnapshot base;
-  for (int threads : {1, 2, 4, 8}) {
-    FederationOptions fed;
-    fed.threads = threads;
-    fed.deadline_ms = 1e9;  // never expires; keeps the scatter path on
-    RunSnapshot snap = RunFourSource(fed);
-    ASSERT_TRUE(snap.ok) << "threads=" << threads;
-    if (threads == 1) {
-      base = std::move(snap);
-      ASSERT_FALSE(base.trace_json.empty());
-      continue;
-    }
-    EXPECT_EQ(snap.tuples, base.tuples) << "threads=" << threads;
-    EXPECT_EQ(snap.warnings, base.warnings) << "threads=" << threads;
-    EXPECT_EQ(snap.measured_ms, base.measured_ms) << "threads=" << threads;
-    EXPECT_EQ(snap.trace_json, base.trace_json) << "threads=" << threads;
-  }
+  // Scatter-path determinism: two runs of one scatter configuration on
+  // fresh mediators match in results, warnings, the simulated clock,
+  // and every trace byte.
+  FederationOptions fed;
+  fed.scatter = true;
+  fed.deadline_ms = 1e9;  // never expires
+  RunSnapshot base = RunFourSource(fed);
+  RunSnapshot snap = RunFourSource(fed);
+  ASSERT_TRUE(base.ok);
+  ASSERT_TRUE(snap.ok);
+  ASSERT_FALSE(base.trace_json.empty());
+  EXPECT_EQ(snap.tuples, base.tuples);
+  EXPECT_EQ(snap.warnings, base.warnings);
+  EXPECT_EQ(snap.measured_ms, base.measured_ms);
+  EXPECT_EQ(snap.trace_json, base.trace_json);
 }
 
 TEST(FederationTest, ScatterAtLeastHalvesFourSourceFanout) {
@@ -149,7 +145,7 @@ TEST(FederationTest, ScatterAtLeastHalvesFourSourceFanout) {
   // it the critical path).
   RunSnapshot serial = RunFourSource(FederationOptions{});
   FederationOptions fed;
-  fed.threads = 4;
+  fed.scatter = true;
   RunSnapshot scatter = RunFourSource(fed);
   ASSERT_TRUE(serial.ok);
   ASSERT_TRUE(scatter.ok);
@@ -161,7 +157,7 @@ TEST(FederationTest, ScatterAtLeastHalvesFourSourceFanout) {
 TEST(FederationTest, DeadlineYieldsPartialUnionWithWarning) {
   MediatorOptions opts;
   opts.fault_tolerance.allow_partial = true;
-  opts.fault_tolerance.federation.threads = 2;
+  opts.fault_tolerance.federation.scatter = true;
   opts.fault_tolerance.federation.deadline_ms = 1000;
   Mediator med(opts);
   ASSERT_TRUE(
@@ -201,7 +197,7 @@ TEST(FederationTest, DeadlineAbortsJoinWithoutBlamingTheSource) {
   // replan-eligible.
   MediatorOptions opts;
   opts.fault_tolerance.allow_partial = true;
-  opts.fault_tolerance.federation.threads = 2;
+  opts.fault_tolerance.federation.scatter = true;
   opts.fault_tolerance.federation.deadline_ms = 1000;
   Mediator med(opts);
   ASSERT_TRUE(
@@ -227,7 +223,7 @@ TEST(FederationTest, CancellationClipsSiblingsOfAFatalFailure) {
   // that moment is cancelled instead of running to completion.
   MediatorOptions opts;
   opts.fault_tolerance.retry = RetryPolicy::Standard(1);
-  opts.fault_tolerance.federation.threads = 2;
+  opts.fault_tolerance.federation.scatter = true;
   opts.fault_tolerance.federation.deadline_ms = 1e9;  // scatter on
   opts.replan_on_source_failure = false;
   Mediator med(opts);
@@ -362,7 +358,7 @@ TEST(FederationTest, RetryBudgetCapsScatterRetries) {
   opts.fault_tolerance.allow_partial = true;
   opts.fault_tolerance.retry = RetryPolicy::Standard(5);
   opts.fault_tolerance.retry.query_retry_budget = 1;
-  opts.fault_tolerance.federation.threads = 2;
+  opts.fault_tolerance.federation.scatter = true;
   opts.breaker.failure_threshold = 100;  // keep breakers out of this test
   Mediator med(opts);
   ASSERT_TRUE(
@@ -398,7 +394,7 @@ TEST(FederationTest, OpenBreakerShortCircuitsTheScatterPath) {
   MediatorOptions opts;
   opts.fault_tolerance.allow_partial = true;
   opts.fault_tolerance.retry = RetryPolicy::Standard(3);
-  opts.fault_tolerance.federation.threads = 2;
+  opts.fault_tolerance.federation.scatter = true;
   Mediator med(opts);
   ASSERT_TRUE(
       med.RegisterWrapper(MakeSource("good", "G", 10, FaultProfile{})).ok());
@@ -435,7 +431,7 @@ TEST(FederationTest, HalfOpenBreakerAdmitsOneProbeAcrossTheScatter) {
   MediatorOptions opts;
   opts.fault_tolerance.allow_partial = true;
   opts.fault_tolerance.retry = RetryPolicy::Standard(1);  // no retries
-  opts.fault_tolerance.federation.threads = 2;
+  opts.fault_tolerance.federation.scatter = true;
   opts.breaker.cooldown_ms = 150;
   Mediator med(opts);
   ASSERT_TRUE(
@@ -514,7 +510,7 @@ TEST(FederationTest, SlowAndStuckStreamProfilesAreDeterministic) {
   // experiments reproduce bit-for-bit.
   auto run = [] {
     FederationOptions fed;
-    fed.threads = 4;
+    fed.scatter = true;
     MediatorOptions opts;
     opts.fault_tolerance.allow_partial = true;
     opts.fault_tolerance.federation = fed;
@@ -543,11 +539,91 @@ TEST(FederationTest, SlowAndStuckStreamProfilesAreDeterministic) {
   EXPECT_EQ(one.tuples, two.tuples);
 }
 
+// A quarantine warning names the breaker state its answer was validated
+// under -- read once, after the success and before the guard verdict --
+// whichever path ran the submit.
+TEST(FederationTest, QuarantineWarningsReadTheBreakerWhenValidated) {
+  wrapper::FaultSchedule schedule(7);
+  schedule.DefineDomain("liars", {"liar"});
+  wrapper::FaultWindow lies;
+  lies.domain = "liars";
+  lies.start_ms = 0;
+  lies.end_ms = 1e12;
+  lies.effect = wrapper::FaultEffect::kMalform;
+  lies.malform_modes = wrapper::kMalformTypes;
+  lies.malform_row_probability = 0.5;
+  schedule.AddWindow(lies);
+  auto make = [&](const FederationOptions& fed) {
+    MediatorOptions opts;
+    opts.fault_tolerance.federation = fed;
+    auto med = std::make_unique<Mediator>(opts);
+    auto liar = sources::MakeRelationalSource("liar");
+    storage::Table* l = liar->CreateTable(CollectionSchema(
+        "L", {{"k", AttrType::kLong}, {"v", AttrType::kLong}}));
+    for (int i = 0; i < 20; ++i) {
+      EXPECT_TRUE(l->Insert({Value(int64_t{i}), Value(int64_t{i * 10})}).ok());
+    }
+    EXPECT_TRUE(l->CreateIndex("k").ok());
+    EXPECT_TRUE(med->RegisterWrapper(
+                       std::make_unique<wrapper::ScheduledFaultWrapper>(
+                           std::make_unique<wrapper::SimulatedWrapper>(
+                               std::move(liar),
+                               wrapper::SimulatedWrapper::Options{}),
+                           &schedule))
+                    .ok());
+    EXPECT_TRUE(med->RegisterWrapper(MakeSource("outer", "O", 12,
+                                                FaultProfile{}))
+                    .ok());
+    return med;
+  };
+  auto quarantines = [](const mediator::QueryResult& r) {
+    std::vector<std::string> out;
+    for (const ExecWarning& w : r.warnings) {
+      if (w.message.find("quarantined") != std::string::npos) {
+        out.push_back(w.ToString());
+      }
+    }
+    return out;
+  };
+
+  auto scan = Submit("liar", Scan("L"));
+  FederationOptions scatter;
+  scatter.scatter = true;
+  auto serial_r = make(FederationOptions{})->Execute(*scan);
+  auto scatter_r = make(scatter)->Execute(*scan);
+  ASSERT_TRUE(serial_r.ok()) << serial_r.status().ToString();
+  ASSERT_TRUE(scatter_r.ok()) << scatter_r.status().ToString();
+  ASSERT_EQ(quarantines(*serial_r).size(), 1u);
+  ASSERT_EQ(serial_r->warnings.size(), 1u);
+  std::vector<std::string> serial_warnings, scatter_warnings;
+  for (const ExecWarning& w : serial_r->warnings) {
+    serial_warnings.push_back(w.ToString());
+  }
+  for (const ExecWarning& w : scatter_r->warnings) {
+    scatter_warnings.push_back(w.ToString());
+  }
+  EXPECT_EQ(scatter_warnings, serial_warnings);
+
+  FederationOptions waves;
+  waves.bind_batch_size = 4;
+  waves.bind_parallelism = 2;
+  auto join = algebra::BindJoin(Submit("outer", Scan("O")), "liar", "L",
+                                algebra::JoinPredicate{"k", "k"});
+  auto join_r = make(waves)->Execute(*join);
+  ASSERT_TRUE(join_r.ok()) << join_r.status().ToString();
+  std::vector<std::string> all = quarantines(*join_r);
+  EXPECT_FALSE(all.empty());
+  all.push_back(serial_warnings[0]);
+  for (const std::string& w : all) {
+    EXPECT_EQ(w.find("[breaker open]"), std::string::npos) << w;
+  }
+}
+
 TEST(FederationTest, MonitorReportSurfacesFederationState) {
   MediatorOptions opts;
   opts.fault_tolerance.allow_partial = true;
   opts.fault_tolerance.retry.query_retry_budget = 7;
-  opts.fault_tolerance.federation.threads = 4;
+  opts.fault_tolerance.federation.scatter = true;
   opts.fault_tolerance.federation.deadline_ms = 1000;
   Mediator med(opts);
   ASSERT_TRUE(
@@ -560,7 +636,7 @@ TEST(FederationTest, MonitorReportSurfacesFederationState) {
   ASSERT_TRUE(med.Execute(*plan).ok());
 
   mediator::MonitorSnapshot snap = med.MonitorReport();
-  EXPECT_EQ(snap.federation_threads, 4);
+  EXPECT_TRUE(snap.scatter);
   EXPECT_EQ(snap.deadline_ms, 1000);
   EXPECT_FALSE(snap.hedging);
   EXPECT_EQ(snap.query_retry_budget, 7);
@@ -568,10 +644,10 @@ TEST(FederationTest, MonitorReportSurfacesFederationState) {
   EXPECT_EQ(snap.scatter_submits, 2);
   EXPECT_EQ(snap.deadline_expired_submits, 1);
   EXPECT_EQ(snap.deadline_expired_queries, 1);
-  EXPECT_NE(snap.ToText().find("federation: 4 threads, deadline 1000.0 ms"),
+  EXPECT_NE(snap.ToText().find("federation: scatter on, deadline 1000.0 ms"),
             std::string::npos)
       << snap.ToText();
-  EXPECT_NE(snap.ToJson().find("\"federation\":{\"threads\":4"),
+  EXPECT_NE(snap.ToJson().find("\"federation\":{\"scatter\":true"),
             std::string::npos)
       << snap.ToJson();
 }

@@ -46,7 +46,7 @@ class MediatorExecTest : public ::testing::Test {
         {{"s1", wrapper_.get()}, {"s2", wrapper2_.get()}}, params_);
   }
 
-  MediatorCostParams params_;
+  costmodel::CalibrationParams params_;
   std::unique_ptr<wrapper::SimulatedWrapper> wrapper_;
   std::unique_ptr<wrapper::SimulatedWrapper> wrapper2_;
 };

