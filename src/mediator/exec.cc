@@ -207,7 +207,7 @@ struct MediatorExecutor::SubmitOutcome {
   bool guard_checked = false;  ///< the guard ran on this answer
   /// The lane's breaker state when the answer was validated (after the
   /// success, before the guard verdict) -- the one read behind this
-  /// answer's quarantine and recovery warnings. "" without a registry.
+  /// answer's quarantine warning. "" without a registry.
   std::string breaker;
   std::vector<ExecWarning> recoveries;  ///< "recovered after ..." warnings
   ExecWarning failure;                  ///< filled when status is not ok
@@ -346,22 +346,16 @@ MediatorExecutor::SubmitOutcome MediatorExecutor::RunAttempts(
         o.guard_checked = true;
       }
       o.breaker = lane->BreakerState(key);
-      if (attempt > 1) {
-        o.recoveries.push_back(ExecWarning{
-            key,
-            StringPrintf("recovered after %d failed attempt%s", attempt - 1,
-                         attempt == 2 ? "" : "s"),
-            attempt, o.breaker});
-      }
       o.exec = std::move(*result);
       o.end_ms = lane->clock_ms;
       // The serial lane keeps every answer, so it commits here, before
       // the guard verdict reaches the breaker: the quarantine instant
-      // then precedes any lying-source transition it causes. Concurrent
-      // lanes commit when they are gathered.
+      // then precedes any lying-source transition it causes (its
+      // recovery warning follows in SubmitToSource). Concurrent lanes
+      // commit when they are gathered.
       if (lane->serial != nullptr) {
-        CommitAnswer(o, source, subplan, attempt, o.end_ms - o.start_ms,
-                     std::move(o.recoveries), nullptr);
+        CommitAnswer(o, source, subplan, attempt, o.end_ms - o.start_ms, {},
+                     nullptr);
       }
       // Persistent malformation reaches the breaker as a lying-source
       // signal.
@@ -370,6 +364,14 @@ MediatorExecutor::SubmitOutcome MediatorExecutor::RunAttempts(
                    o.guard.any() ? HealthEvent::kMalformed
                                  : HealthEvent::kWellFormed,
                    o.guard.rows_quarantined);
+      }
+      // A recovery reports the breaker as the guard verdict left it.
+      if (attempt > 1) {
+        o.recoveries.push_back(ExecWarning{
+            key,
+            StringPrintf("recovered after %d failed attempt%s", attempt - 1,
+                         attempt == 2 ? "" : "s"),
+            attempt, lane->BreakerState(key)});
       }
       return o;
     }
@@ -536,6 +538,7 @@ Result<sources::ExecutionResult> MediatorExecutor::SubmitToSource(
   // the retries they scheduled, one the breaker then rejected included.
   tally.retries = std::max(0, o.attempts - 1);
   Reconcile(tally);
+  for (ExecWarning& w : o.recoveries) AddWarning(std::move(w));
 
   if (!o.status.ok() && !o.availability_failure) {
     span.Arg("outcome", "error");
