@@ -127,6 +127,14 @@ struct BTreeCase {
   int n;
 };
 
+// Prints a case as `fanout <f>, shuffled|sorted, <n> keys`. The default
+// byte dump would include the uninitialised padding after `shuffled`, so
+// the case's test name would change from run to run.
+void PrintTo(const BTreeCase& c, std::ostream* os) {
+  *os << "fanout " << c.fanout << ", " << (c.shuffled ? "shuffled" : "sorted")
+      << ", " << c.n << " keys";
+}
+
 class BTreePropertyTest : public ::testing::TestWithParam<BTreeCase> {};
 
 TEST_P(BTreePropertyTest, MatchesBruteForce) {

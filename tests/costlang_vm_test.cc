@@ -77,6 +77,13 @@ struct ExprCase {
   double expected;
 };
 
+// Prints a case as `<expr> = <expected>`. gtest and ctest name each case
+// by its printed parameter; the default byte dump would embed the address
+// of `expr`, which changes from build to build.
+void PrintTo(const ExprCase& c, std::ostream* os) {
+  *os << c.expr << " = " << c.expected;
+}
+
 class VmExprTest : public ::testing::TestWithParam<ExprCase> {};
 
 TEST_P(VmExprTest, Evaluates) {

@@ -123,6 +123,12 @@ struct SqlOpCase {
   algebra::CmpOp expected;
 };
 
+// Prints a case as `<op> parses as <CmpOp>`, so the case's test name does
+// not dump the address of `op`.
+void PrintTo(const SqlOpCase& c, std::ostream* os) {
+  *os << c.op << " parses as " << algebra::CmpOpToString(c.expected);
+}
+
 class SqlOperatorSweep : public ::testing::TestWithParam<SqlOpCase> {};
 
 TEST_P(SqlOperatorSweep, AllComparisonOperatorsParse) {

@@ -80,6 +80,13 @@ struct CompareCase {
   int expected;  // sign
 };
 
+// Prints a case as `<lhs> <op> <rhs>`, e.g. `'zz' > 'za'`, so the case's
+// test name does not dump the Values' bytes (string and heap pointers).
+void PrintTo(const CompareCase& c, std::ostream* os) {
+  const char* op = c.expected < 0 ? " < " : c.expected == 0 ? " == " : " > ";
+  *os << c.lhs.ToString() << op << c.rhs.ToString();
+}
+
 class ValueCompareTest : public ::testing::TestWithParam<CompareCase> {};
 
 TEST_P(ValueCompareTest, TotalOrderWithinType) {
